@@ -3,8 +3,9 @@ package repro.bench
 import repro.SparkSpec
 
 /** Shared plumbing for benchmark suites: wall-clock timing plus markdown
-  * table output. Every suite prints paper-shaped rows to stdout; the run is
-  * teed into bench_output.txt and transcribed into EXPERIMENTS.md.
+  * table output. Every suite prints paper-shaped rows to stdout. These are
+  * shape checks, not a perf record: the measured benchmark is described in
+  * kspbench/README.md.
   */
 trait BenchHarness extends SparkSpec {
 

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{KspQuery, KspResult, Path, WeightedGraph}
+import repro.core.{Dijkstra, KspQuery, KspResult, Path, WeightedGraph}
 import scala.collection.mutable
 
 /** Centralized SPT-accelerated KSP baseline, standing in for FindKSP
@@ -23,7 +23,7 @@ final class FindKsp(g: WeightedGraph) extends Serializable {
   def ksp(s: Int, t: Int, k: Int): Seq[Path] = {
     if (s == t) return Seq(Path(Vector(s), Vector.empty, 0.0))
     // Reverse SPT from t (graph is undirected: forward == reverse).
-    val distT = repro.core.Dijkstra.run(g, t).dist
+    val distT = Dijkstra.run(g, t).dist
     if (distT(s).isInfinite) return Seq.empty
 
     val accepted = mutable.ArrayBuffer.empty[Path]
@@ -31,7 +31,9 @@ final class FindKsp(g: WeightedGraph) extends Serializable {
       mutable.PriorityQueue.empty[Path](Ordering.by[Path, Double](_.distance).reverse)
     val seen = mutable.HashSet.empty[Vector[Int]]
 
-    astar(s, t, Set.empty, Set.empty, distT).foreach { p => if (seen.add(p.vertices)) candidates.enqueue(p) }
+    Dijkstra.shortestPath(g, s, t, heuristic = distT(_)).foreach { p =>
+      if (seen.add(p.vertices)) candidates.enqueue(p)
+    }
 
     while (accepted.size < k && candidates.nonEmpty) {
       val p = candidates.dequeue()
@@ -46,7 +48,8 @@ final class FindKsp(g: WeightedGraph) extends Serializable {
             .filter(a => a.vertices.length > i + 1 && a.vertices.take(i + 1) == rootVertices)
             .map(_.edgeIds(i)).toSet
           val bannedVerts = rootVertices.dropRight(1).toSet
-          astar(rootVertices(i), t, bannedVerts, bannedEdges, distT).foreach { sp =>
+          Dijkstra.shortestPath(g, rootVertices(i), t, bannedVertex = bannedVerts.contains,
+              bannedEdge = bannedEdges.contains, heuristic = distT(_)).foreach { sp =>
             val full = Path(rootVertices ++ sp.vertices.tail, rootEdges ++ sp.edgeIds, rootDist + sp.distance)
             if (full.isSimple && seen.add(full.vertices)) candidates.enqueue(full)
           }
@@ -55,42 +58,5 @@ final class FindKsp(g: WeightedGraph) extends Serializable {
       }
     }
     accepted.toSeq
-  }
-
-  /** A* from `s` to `t` with heuristic `distT` and vertex/edge bans. */
-  private def astar(
-      s: Int, t: Int,
-      bannedVertex: Set[Int], bannedEdge: Set[Int],
-      distT: Array[Double]): Option[Path] = {
-    val n = g.numVertices
-    val dist = Array.fill(n)(Double.PositiveInfinity)
-    val pv = Array.fill(n)(-1)
-    val pe = Array.fill(n)(-1)
-    val settled = new Array[Boolean](n)
-    val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by[(Double, Int), Double](_._1).reverse)
-    dist(s) = 0.0
-    pq.enqueue((distT(s), s))
-    while (pq.nonEmpty) {
-      val (_, v) = pq.dequeue()
-      if (!settled(v)) {
-        settled(v) = true
-        if (v == t) {
-          val vs = mutable.ArrayBuffer(t); val es = mutable.ArrayBuffer.empty[Int]
-          var cur = t
-          while (pv(cur) >= 0) { es += pe(cur); cur = pv(cur); vs += cur }
-          return Some(Path(vs.reverseIterator.toVector, es.reverseIterator.toVector, dist(t)))
-        }
-        g.foreachNeighbor(v) { (u, e) =>
-          if (!settled(u) && !bannedEdge.contains(e) && !(bannedVertex.contains(u) && u != t)) {
-            val nd = dist(v) + g.weights(e)
-            if (nd < dist(u) && !distT(u).isInfinite) {
-              dist(u) = nd; pv(u) = v; pe(u) = e
-              pq.enqueue((nd + distT(u), u))
-            }
-          }
-        }
-      }
-    }
-    None
   }
 }

@@ -2,19 +2,17 @@ package repro.core
 
 import scala.collection.mutable
 
-/** How lower bound distances are refreshed when weights drift (DESIGN.md §3).
-  *
-  * - [[LbdMode.Faithful]] — the paper's Algorithm 2: stored bounding-path
-  *   distances are bumped by Δw through the EP-Index and reused as the
-  *   per-level minima. Exact at construction time, heuristic after drift.
-  * - [[LbdMode.Safe]] — per-level minimum distances are recomputed for every
-  *   affected subgraph on each update batch (one level-Dijkstra sweep per
-  *   boundary vertex), so the LBD is provably a lower bound at all times.
+/** How lower bound distances are kept current when weights drift (DESIGN.md
+  * §3). [[LbdMode.Faithful]] is the only mechanism: the paper's Algorithm 2
+  * with the corrected bound — stored bounding-path distances are bumped by
+  * Δw through the EP-Index, and `min(min stored distance, BD(phiBound))` is
+  * a valid lower bound at all times (see [[PairBounds.lbd]]). The type stays
+  * a parameter of the public build/update/lbd calls that the benchmark
+  * harness (`kspbench/`) compiles against.
   */
 sealed trait LbdMode
 object LbdMode {
   case object Faithful extends LbdMode
-  case object Safe extends LbdMode
 }
 
 /** One bounding path (Section 3.4): a fewest-vfrag level representative
@@ -42,32 +40,20 @@ final class BoundingPath(
   override def toString: String = s"BP($pathId,$a-$b,phi=$phi,d=$distance)"
 }
 
-/** Bounds between one pair of boundary vertices (Section 3.5), carrying two
-  * parallel structures (DESIGN.md §3):
-  *
-  *  - `paths`: the paper's *simple* bounding paths (fewest-vfrag simple
-  *    paths from Yen, up to ξ distinct levels). Their distances are
-  *    maintained incrementally by the EP-Index; because simple-path levels
-  *    are widely spaced, `BD(ℓ_r + 1)` quickly exceeds `D_u` and the bound
-  *    collapses to the tight `D_u`. Exact at construction; heuristic after
-  *    drift (Theorem 1's gap). Used by [[LbdMode.Faithful]].
-  *  - `walkPhis`/`freshWalkMin`: the ξ smallest *walk* levels with their
-  *    per-level minimum distances, recomputed by level-Dijkstra sweeps on
-  *    every update. Provably a lower bound at all times, but looser (walk
-  *    levels cluster). Used by [[LbdMode.Safe]].
+/** Bounds between one pair of boundary vertices (Section 3.5): the paper's
+  * *simple* bounding paths (fewest-vfrag simple paths from Yen, up to ξ
+  * distinct levels, DESIGN.md §3). Their distances are maintained
+  * incrementally by the EP-Index; because simple-path levels are widely
+  * spaced, `BD(phiBound)` quickly exceeds `D_u` and the bound collapses to
+  * the tight `D_u`.
   */
 final class PairBounds(
     val a: Int,
     val b: Int,
     val paths: Vector[BoundingPath],
     val pathPhiBound: Long,
-    val walkPhis: Array[Int],
-    walkMinInit: Array[Double],
     val exactRefresh: Boolean = false) extends Serializable {
-  require(paths.nonEmpty && walkPhis.nonEmpty)
-  /** Per-walk-level minimum distance; refreshed on update in Safe mode. */
-  val freshWalkMin: Array[Double] = walkMinInit.clone()
-  val maxWalkPhi: Int = walkPhis.max
+  require(paths.nonEmpty)
 
   /** For tie-dense pairs whose enumeration hit the path cap (`exactRefresh`),
     * no vfrag bound can be tight: the index keeps the exact interior-free
@@ -79,22 +65,16 @@ final class PairBounds(
 
   /** Lower bound distance.
     *
-    * Faithful: `paths` holds *every* interior-free simple path with
+    * `paths` holds *every* interior-free simple path with
     * `φ < pathPhiBound` (enumeration order by φ is weight-independent, so
     * this holds forever); their distances are EP-maintained exactly. Hence
     * `min(min stored distance, BD(pathPhiBound))` is a provably valid lower
     * bound at all times — and exact whenever the current shortest path is
     * stored. This dominates the paper's Theorem-1 case split.
-    *
-    * Safe: walk-level variant, valid whenever `freshWalkMin` is fresh.
     */
-  def lbd(mode: LbdMode, unitTable: UnitWeightTable): Double = mode match {
-    case LbdMode.Faithful =>
-      if (exactRefresh) exactDist
-      else math.min(paths.iterator.map(_.distance).min, unitTable.bd(pathPhiBound))
-    case LbdMode.Safe =>
-      math.min(freshWalkMin.min, unitTable.bd(maxWalkPhi + 1))
-  }
+  def lbd(mode: LbdMode, unitTable: UnitWeightTable): Double =
+    if (exactRefresh) exactDist
+    else math.min(paths.iterator.map(_.distance).min, unitTable.bd(pathPhiBound))
 }
 
 /** Sorted unit-weight table of one subgraph: supports `bd(m)` = sum of the
@@ -143,6 +123,9 @@ object UnitWeightTable {
 /** Level-Dijkstra (DESIGN.md §3): from one source, find for every vertex the
   * `xi` smallest *distinct* achievable vfrag counts ("levels") over walks,
   * and for each level the minimum real distance plus one witness walk.
+  *
+  * Off the build and update path: the index stores simple bounding paths
+  * only. Kept as the walk-level reference that tests check bounds against.
   *
   * Correctness: every edge advances the level by ≥ 1 vfrag, so processing
   * states `(vertex, level)` in lexicographic `(level, dist)` order settles

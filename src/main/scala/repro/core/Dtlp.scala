@@ -47,11 +47,12 @@ final class SubgraphDtlp(
     */
   private def transitAllowed(lv: Int): Boolean = !isLocalBoundary(lv)
 
-  /** Bounding structures for each adjacent boundary pair, keyed by global
-    * (a < b): walk levels from level-Dijkstra sweeps (Safe bound) plus the
-    * paper's simple bounding paths from fewest-vfrag Yen (Faithful bound).
-    * Same-φ paths count as one level (Section 3.4); a few ties per level
-    * are stored so `D_u` covers them.
+  /** Bounding paths for each adjacent boundary pair, keyed by global
+    * (a < b): the paper's simple bounding paths from fewest-vfrag Yen. A pair
+    * exists exactly when it is connected without transiting another boundary
+    * vertex, i.e. when the enumeration yields a first path. Same-φ paths
+    * count as one level (Section 3.4); a few ties per level are stored so
+    * `D_u` covers them.
     */
   val pairs: Map[(Int, Int), PairBounds] = {
     var seq = 0L
@@ -59,21 +60,17 @@ final class SubgraphDtlp(
     val localBoundary = sg.boundaryIds.map(sg.localOf)
     localBoundary.foreach { lb =>
       val bGlobal = sg.globalOf(lb)
-      val sweep = LevelDijkstra.sweep(sg.local, lb, xi, transitAllowed)
       localBoundary.foreach { lc =>
         val cGlobal = sg.globalOf(lc)
         if (bGlobal < cGlobal) {
-          val levels = sweep.levelsOf(lc)
-          if (levels.nonEmpty) {
-            val (bps0, phiBound, capHit) = boundingPathsFor(lb, lc, bGlobal, cGlobal, seq)
+          val (bps0, phiBound, capHit) = boundingPathsFor(lb, lc, bGlobal, cGlobal, seq)
+          if (bps0.nonEmpty) {
             val exact = capHit && exactRefreshEnabled
             // Exact-refresh pairs never use stored-path distances: keep a
             // few representatives, skip EP indexing of the rest.
             val bps = if (exact) bps0.take(xi) else bps0
             seq += bps.size
-            out((bGlobal, cGlobal)) = new PairBounds(
-              bGlobal, cGlobal, bps, phiBound,
-              levels.map(_.phi).toArray, levels.map(_.dist).toArray, exactRefresh = exact)
+            out((bGlobal, cGlobal)) = new PairBounds(bGlobal, cGlobal, bps, phiBound, exactRefresh = exact)
           }
         }
       }
@@ -157,43 +154,29 @@ final class SubgraphDtlp(
       pbs.foreach(pb => pb.exactDist = res.dist(sg.localOf(pb.b)))
     }
 
-  /** Current LBD of every boundary pair under `mode` (Algorithm 1 output). */
-  def lbds(mode: LbdMode): Seq[(Int, Int, Double)] =
-    pairs.valuesIterator.map(pb => (pb.a, pb.b, pb.lbd(mode, unitTable))).toSeq
+  /** Current LBD of every boundary pair (Algorithm 1 output). */
+  def lbds: Seq[(Int, Int, Double)] =
+    pairs.valuesIterator.map(pb => (pb.a, pb.b, pb.lbd(LbdMode.Faithful, unitTable))).toSeq
 
   /** Apply a weight-update batch (Algorithm 2) and return the refreshed LBDs
     * of *all* pairs of this subgraph (bound distances depend on the whole
     * unit-weight multiset, so every pair's LBD may move).
+    *
+    * Each event's Δ is taken against this index's own current weight, just
+    * before the event is written, so several events for one edge in a batch
+    * compose; the caller's `WeightUpdate.delta` is not trusted.
     */
   def update(batch: Seq[WeightUpdate], mode: LbdMode): Seq[(Int, Int, Double)] = {
     val relevant = batch.filter(u => sg.localEdgeOfGlobal.contains(u.edgeId))
     if (relevant.isEmpty) return Seq.empty
-    sg.applyUpdates(relevant)
-    relevant.foreach(u => epIndex.applyDelta(sg.localEdgeOfGlobal(u.edgeId), u.delta))
-    unitTable = UnitWeightTable(sg.local)
-    if (mode == LbdMode.Safe) refreshLevelMinima()
-    else refreshExactDistances()
-    lbds(mode)
-  }
-
-  /** Recompute per-walk-level minimum distances (Safe mode; DESIGN.md §3). */
-  private def refreshLevelMinima(): Unit = {
-    val localBoundary = sg.boundaryIds.map(sg.localOf)
-    localBoundary.foreach { lb =>
-      val bGlobal = sg.globalOf(lb)
-      val sweep = LevelDijkstra.sweep(sg.local, lb, xi, transitAllowed)
-      localBoundary.foreach { lc =>
-        val cGlobal = sg.globalOf(lc)
-        if (bGlobal < cGlobal) {
-          pairs.get((bGlobal, cGlobal)).foreach { pb =>
-            val byPhi = sweep.levelsOf(lc).map(l => l.phi -> l.dist).toMap
-            pb.walkPhis.indices.foreach { i =>
-              byPhi.get(pb.walkPhis(i)).foreach(d => pb.freshWalkMin(i) = d)
-            }
-          }
-        }
-      }
+    relevant.foreach { u =>
+      val le = sg.localEdgeOfGlobal(u.edgeId)
+      epIndex.applyDelta(le, u.newWeight - sg.local.weights(le))
+      sg.local.weights(le) = u.newWeight
     }
+    unitTable = UnitWeightTable(sg.local)
+    refreshExactDistances()
+    lbds
   }
 
   /** Partial k-shortest paths between two member vertices with boundary-free
@@ -237,7 +220,7 @@ final class Dtlp(
     val subIndexes: Vector[SubgraphDtlp]) extends Serializable {
 
   val skeleton: SkeletonGraph =
-    SkeletonGraph.build(subIndexes.flatMap(_.lbds(mode)))
+    SkeletonGraph.build(subIndexes.flatMap(_.lbds))
 
   /** pair → subgraphs that index it (precomputed: the update hot path). */
   private val indexingSubgraphs: Map[(Int, Int), Array[Int]] =
@@ -247,6 +230,8 @@ final class Dtlp(
 
   /** Apply a weight-update batch everywhere: master graph, subgraph copies,
     * EP-Indexes, and skeleton weights (MBD = min LBD across subgraphs).
+    * A batch naming an unknown edge or a non-finite or non-positive weight
+    * is rejected whole, before anything is written.
     */
   def update(batch: Seq[WeightUpdate]): Unit = {
     partitioning.graph.applyUpdates(batch)
@@ -273,13 +258,14 @@ object Dtlp {
   /** Algorithm 1: partition, index every subgraph, assemble the skeleton.
     * `levelSpread`/`exactRefreshEnabled` default to the corrected adaptive
     * behaviour; pass (1.0, false) for the paper's fixed-ξ pure-bound
-    * mechanism (DESIGN.md §3).
+    * mechanism (DESIGN.md §3). `mode` has the single value
+    * [[LbdMode.Faithful]].
     */
   def build(
       g: WeightedGraph,
       z: Int,
       xi: Int,
-      mode: LbdMode = LbdMode.Safe,
+      mode: LbdMode = LbdMode.Faithful,
       levelSpread: Double = SubgraphDtlp.DefaultLevelSpread,
       exactRefreshEnabled: Boolean = true): Dtlp = {
     val partitioning = Partitioner.partition(g, z)

@@ -14,7 +14,10 @@ final case class EdgeRec(id: Int, u: Int, v: Int) {
   def other(x: Int): Int = if (x == u) v else u
 }
 
-/** A weight change event: edge `edgeId` now weighs `newWeight` (was `newWeight - delta`). */
+/** A weight change event: edge `edgeId` now weighs `newWeight` (was
+  * `newWeight - delta` when the event was made). The DTLP index does not read
+  * `delta`: it takes each Δ against its own current weight.
+  */
 final case class WeightUpdate(edgeId: Int, newWeight: Double, delta: Double)
 
 /** Minimal read interface shared by [[WeightedGraph]] and light-weight views
@@ -84,9 +87,17 @@ final class WeightedGraph(
   /** Current unit weight of edge `e`: `w_e / w⁰_e` spread over its vfrags. */
   @inline def unitWeight(e: Int): Double = weights(e) / vfrags(e)
 
-  /** Apply a batch of weight updates in place. */
-  def applyUpdates(updates: Iterable[WeightUpdate]): Unit =
+  /** Apply a batch of weight updates in place. The whole batch is rejected,
+    * before any weight is written, if an event names an unknown edge or a
+    * non-finite or non-positive weight.
+    */
+  def applyUpdates(updates: Iterable[WeightUpdate]): Unit = {
+    updates.foreach { u =>
+      require(u.edgeId >= 0 && u.edgeId < numEdges, s"unknown edge id ${u.edgeId}")
+      require(u.newWeight > 0 && !u.newWeight.isInfinite, s"edge ${u.edgeId}: weight ${u.newWeight} is not finite and positive")
+    }
     updates.foreach(u => weights(u.edgeId) = u.newWeight)
+  }
 
   /** Distance of a walk given as a vertex sequence; NaN-free, fails on non-edges. */
   def walkDistance(vertices: IndexedSeq[Int]): Double = {

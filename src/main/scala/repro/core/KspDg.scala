@@ -120,8 +120,16 @@ final class KspDgEngine(
     * query contributes one reference path; all their pair requests are merged
     * into a single refine call (one Spark job per round in the distributed
     * setting), then each query joins, updates `L`, and tests termination.
+    * A query with `k <= 0` or an endpoint outside the graph rejects the
+    * whole batch before any work.
     */
   def batch(qs: Seq[KspQuery]): Seq[KspResult] = {
+    val n = partitioning.graph.numVertices
+    qs.foreach { q =>
+      require(q.k > 0, s"query ${q.id}: k must be positive, got ${q.k}")
+      require(q.s >= 0 && q.s < n && q.t >= 0 && q.t < n,
+        s"query ${q.id}: endpoints (${q.s}, ${q.t}) outside [0, $n)")
+    }
     // Step 1 (Section 5.3), batched: LBD attachments for every non-boundary
     // endpoint in the batch, one refine-service call (one Spark job).
     val plans = qs.flatMap(attachmentPlan).distinct

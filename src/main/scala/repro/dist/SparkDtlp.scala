@@ -23,7 +23,6 @@ final class SparkDtlp private (
     val spark: SparkSession,
     val partitioning: Partitioning,
     val xi: Int,
-    val mode: LbdMode,
     val numWorkers: Int,
     @transient private var indexesDs: Dataset[SubgraphDtlp],
     val skeleton: SkeletonGraph,
@@ -33,14 +32,17 @@ final class SparkDtlp private (
 
   def indexes: Dataset[SubgraphDtlp] = indexesDs
 
-  /** Apply a weight-update batch cluster-wide; one Spark job. */
+  /** Apply a weight-update batch cluster-wide; one Spark job. A batch naming
+    * an unknown edge or a non-finite or non-positive weight is rejected
+    * whole, before anything is written.
+    */
   def update(batch: Seq[WeightUpdate]): Unit = {
     partitioning.applyUpdates(batch) // driver copy (EntranceSpout's master graph)
     val bySg = batch.groupBy(u => partitioning.subgraphOfEdge(u.edgeId)).filter(_._1 >= 0)
     if (bySg.isEmpty) return
     val bc = spark.sparkContext.broadcast(bySg)
     val updated = indexesDs
-      .map { idx => idx.update(bc.value.getOrElse(idx.sg.id, Seq.empty), mode); idx }(kryo[SubgraphDtlp])
+      .map { idx => idx.update(bc.value.getOrElse(idx.sg.id, Seq.empty), LbdMode.Faithful); idx }(kryo[SubgraphDtlp])
       .localCheckpoint(eager = false)
     // Materialize the new state; pull refreshed LBDs of touched subgraphs.
     val touched = bySg.keySet
@@ -48,7 +50,7 @@ final class SparkDtlp private (
     val lbdRows = updated
       .flatMap { idx =>
         if (bcTouched.value.contains(idx.sg.id))
-          idx.lbds(mode).map { case (a, b, d) => (idx.sg.id, a, b, d) }
+          idx.lbds.map { case (a, b, d) => (idx.sg.id, a, b, d) }
         else Seq.empty
       }(Encoders.tuple(Encoders.scalaInt, Encoders.scalaInt, Encoders.scalaInt, Encoders.scalaDouble))
       .collect()
@@ -72,7 +74,7 @@ final class SparkDtlp private (
   def withWorkers(n: Int): SparkDtlp = {
     val ds = indexesDs.repartition(n).persist(StorageLevel.MEMORY_ONLY)
     ds.count()
-    new SparkDtlp(spark, partitioning, xi, mode, n, ds, skeleton, lbdBySg)
+    new SparkDtlp(spark, partitioning, xi, n, ds, skeleton, lbdBySg)
   }
 }
 
@@ -81,13 +83,14 @@ object SparkDtlp {
 
   /** Algorithm 1 on the cluster: partition on the driver, build every
     * subgraph index in parallel, collect LBDs, assemble the skeleton.
+    * `mode` has the single value [[LbdMode.Faithful]].
     */
   def build(
       spark: SparkSession,
       g: WeightedGraph,
       z: Int,
       xi: Int,
-      mode: LbdMode = LbdMode.Safe,
+      mode: LbdMode = LbdMode.Faithful,
       numWorkers: Int = 0,
       levelSpread: Double = SubgraphDtlp.DefaultLevelSpread,
       exactRefreshEnabled: Boolean = true): SparkDtlp = {
@@ -99,7 +102,7 @@ object SparkDtlp {
       .map(sg => new SubgraphDtlp(sg, xi, levelSpread, exactRefreshEnabled))(kryo[SubgraphDtlp])
       .persist(StorageLevel.MEMORY_ONLY)
     val lbdRows = ds
-      .flatMap(idx => idx.lbds(mode).map { case (a, b, d) => (idx.sg.id, a, b, d) })(
+      .flatMap(idx => idx.lbds.map { case (a, b, d) => (idx.sg.id, a, b, d) })(
         Encoders.tuple(Encoders.scalaInt, Encoders.scalaInt, Encoders.scalaInt, Encoders.scalaDouble))
       .collect()
     val lbdBySg = mutable.HashMap.empty[(Int, Int), mutable.HashMap[Int, Double]]
@@ -108,6 +111,6 @@ object SparkDtlp {
     }
     val skeleton = SkeletonGraph.build(
       lbdBySg.iterator.map { case ((a, b), m) => (a, b, m.valuesIterator.min) }.toSeq)
-    new SparkDtlp(spark, partitioning, xi, mode, workers, ds, skeleton, lbdBySg)
+    new SparkDtlp(spark, partitioning, xi, workers, ds, skeleton, lbdBySg)
   }
 }

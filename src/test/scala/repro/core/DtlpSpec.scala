@@ -35,11 +35,6 @@ class DtlpSpec extends SparkSpec {
       // for tie-dense cap-hit pairs, which fall back to exact refresh)
       if (pb.exactRefresh) assert(phis.forall(_ <= pb.pathPhiBound))
       else assert(phis.forall(_ < pb.pathPhiBound))
-      // walk levels: distinct, ascending, at most xi
-      val wp = pb.walkPhis.toSeq
-      assert(wp == wp.sorted && wp.distinct.size == wp.size && wp.size <= xi)
-      // walk level 1 is never above path level 1 (walks subsume paths)
-      assert(wp.head <= phis.head)
     }
   }
 
@@ -69,9 +64,7 @@ class DtlpSpec extends SparkSpec {
     dtlp.subIndexes.foreach { idx =>
       idx.pairs.foreach { case ((a, b), pb) =>
         val sp = interiorFreeShortest(idx, a, b).get
-        Seq(LbdMode.Faithful, LbdMode.Safe).foreach { mode =>
-          assert(pb.lbd(mode, idx.unitTable) <= sp.distance + 1e-9, s"pair=($a,$b) mode=$mode")
-        }
+        assert(pb.lbd(LbdMode.Faithful, idx.unitTable) <= sp.distance + 1e-9, s"pair=($a,$b)")
       }
     }
   }
@@ -87,23 +80,23 @@ class DtlpSpec extends SparkSpec {
       idx.pairs.foreach { case ((a, b), pb) =>
         val sp = interiorFreeShortest(idx, a, b).get
         total += 1
-        if (math.abs(pb.lbd(LbdMode.Safe, idx.unitTable) - sp.distance) < 1e-9) exact += 1
+        if (math.abs(pb.lbd(LbdMode.Faithful, idx.unitTable) - sp.distance) < 1e-9) exact += 1
       }
     }
     assert(total > 20)
     assert(exact.toDouble / total > 0.5, s"only $exact/$total exact at construction")
   }
 
-  test("Safe-mode update keeps lbd a true lower bound through heavy drift") {
+  test("update keeps lbd a true lower bound through heavy drift") {
     val g = RoadNetGen.generate(250, seed = 5)
-    val dtlp = Dtlp.build(g, z = 25, xi = 3, LbdMode.Safe)
+    val dtlp = Dtlp.build(g, z = 25, xi = 3)
     for (round <- 1 to 4) {
       val batch = TrafficModel.snapshot(g.snapshot(), alpha = 0.6, tau = 0.6, round = round)
       dtlp.update(batch)
       dtlp.subIndexes.foreach { idx =>
         idx.pairs.foreach { case ((a, b), pb) =>
           val sp = interiorFreeShortest(idx, a, b).get
-          assert(pb.lbd(LbdMode.Safe, idx.unitTable) <= sp.distance + 1e-9,
+          assert(pb.lbd(LbdMode.Faithful, idx.unitTable) <= sp.distance + 1e-9,
             s"round=$round pair=($a,$b)")
         }
       }
@@ -112,7 +105,7 @@ class DtlpSpec extends SparkSpec {
 
   test("update keeps master, local copies, and skeleton consistent") {
     val g = RoadNetGen.generate(250, seed = 6)
-    val dtlp = Dtlp.build(g, z = 25, xi = 3, LbdMode.Safe)
+    val dtlp = Dtlp.build(g, z = 25, xi = 3)
     val batch = TrafficModel.snapshot(g.snapshot(), 0.4, 0.4, round = 1)
     dtlp.update(batch)
     batch.foreach { u =>
@@ -124,9 +117,55 @@ class DtlpSpec extends SparkSpec {
     dtlp.subIndexes.flatMap(_.pairs.keys).distinct.foreach { case (a, b) =>
       val expect = dtlp.partitioning.subgraphsContainingBoth(a, b).iterator
         .flatMap(s => dtlp.subIndexes(s).pairs.get((a, b))
-          .map(_.lbd(LbdMode.Safe, dtlp.subIndexes(s).unitTable)))
+          .map(_.lbd(LbdMode.Faithful, dtlp.subIndexes(s).unitTable)))
         .min
       assert(dtlp.skeleton.weightOf(a, b).exists(w => math.abs(w - expect) < 1e-9), s"pair=($a,$b)")
+    }
+  }
+
+  test("duplicate events for one edge in a batch compose: EP distances stay exact") {
+    val g = RoadNetGen.generate(300, seed = 11)
+    val dtlp = Dtlp.build(g, z = 25, xi = 3)
+    val engine = KspDg.local(dtlp)
+    val rnd = new scala.util.Random(11)
+    for (round <- 1 to 2) {
+      // Two events per hit edge, each carrying its delta against the
+      // pre-batch weight; the later event's weight is the one that holds.
+      val batch = (0 until g.numEdges).filter(_ => rnd.nextDouble() < 0.3).flatMap { e =>
+        val w = g.weights(e)
+        Seq.fill(2)(w * (0.5 + rnd.nextDouble())).map(nw => WeightUpdate(e, nw, nw - w))
+      }
+      dtlp.update(batch)
+      engine.invalidateCache()
+      dtlp.subIndexes.foreach { idx =>
+        idx.epPaths.foreach { bp =>
+          val repriced = bp.localEdges.map(idx.sg.local.weights).sum
+          assert(math.abs(bp.distance - repriced) < 1e-9, s"round=$round path=${bp.pathId}")
+        }
+      }
+      for (_ <- 1 to 6) {
+        val s = rnd.nextInt(g.numVertices)
+        val t = (s + 1 + rnd.nextInt(g.numVertices - 1)) % g.numVertices
+        val got = TestGraphs.distances(engine.query(KspQuery(0, s, t, 3)).paths)
+        assert(got == TestGraphs.distances(Yen.ksp(g, s, t, 3)), s"round=$round s=$s t=$t")
+      }
+    }
+  }
+
+  test("update rejects unknown edges and non-finite or non-positive weights, writing nothing") {
+    val g = RoadNetGen.generate(200, seed = 12)
+    val dtlp = Dtlp.build(g, z = 25, xi = 3)
+    val before = g.weights.clone()
+    val sg0 = dtlp.partitioning.subgraphs(dtlp.partitioning.subgraphOfEdge(0))
+    val valid = WeightUpdate(0, 2 * before(0), before(0))
+    val bad = Seq(WeightUpdate(g.numEdges, 1.0, 1.0), WeightUpdate(-1, 1.0, 1.0),
+      WeightUpdate(1, 0.0, -before(1)), WeightUpdate(1, -3.0, -3.0 - before(1)),
+      WeightUpdate(1, Double.NaN, Double.NaN),
+      WeightUpdate(1, Double.PositiveInfinity, Double.PositiveInfinity))
+    bad.foreach { u =>
+      assertThrows[IllegalArgumentException](dtlp.update(Seq(valid, u)))
+      assert(g.weights.sameElements(before), s"master graph written for $u")
+      assert(sg0.local.weights(sg0.localEdgeOfGlobal(0)) == before(0), s"local copy written for $u")
     }
   }
 

@@ -61,10 +61,10 @@ class KspDgSpec extends SparkSpec {
     }
   }
 
-  test("stays exact after traffic drift in Safe mode, with cache invalidation") {
+  test("stays exact after traffic drift, with cache invalidation") {
     for (seed <- 1 to 4) {
       val g = RoadNetGen.generate(220, seed = 100 + seed)
-      val dtlp = Dtlp.build(g, z = 25, xi = 3, LbdMode.Safe)
+      val dtlp = Dtlp.build(g, z = 25, xi = 3)
       val engine = KspDg.local(dtlp)
       val rnd = new scala.util.Random(seed)
       for (round <- 1 to 3) {
@@ -126,6 +126,36 @@ class KspDgSpec extends SparkSpec {
     }
     // At construction the skeleton is tight: expect close to k iterations.
     assert(iters.max <= 25, s"iterations blew up: $iters")
+  }
+
+  /** An engine whose refine service counts the calls it serves. */
+  private def countingEngine(dtlp: Dtlp): (KspDgEngine, java.util.concurrent.atomic.AtomicInteger) = {
+    val calls = new java.util.concurrent.atomic.AtomicInteger
+    val local = new LocalRefineService(dtlp)
+    val svc = new RefineService {
+      def partialKsp(rs: Seq[PairRequest]): Map[(Int, Int), Seq[Path]] = { calls.incrementAndGet(); local.partialKsp(rs) }
+      def attachmentBounds(v: Int, x: Set[Int]): Seq[(Int, Double)] = { calls.incrementAndGet(); local.attachmentBounds(v, x) }
+    }
+    (new KspDgEngine(dtlp.partitioning, dtlp.skeleton, svc), calls)
+  }
+
+  test("batch rejects k <= 0 before any work") {
+    val g = RoadNetGen.generate(100, seed = 13)
+    val (engine, calls) = countingEngine(Dtlp.build(g, z = 20, xi = 2))
+    Seq(0, -2).foreach { k =>
+      assertThrows[IllegalArgumentException](engine.batch(Seq(KspQuery(0, 1, 90, 2), KspQuery(1, 3, 80, k))))
+    }
+    assert(calls.get == 0)
+  }
+
+  test("batch rejects endpoints outside the graph before any work") {
+    val g = RoadNetGen.generate(100, seed = 14)
+    val (engine, calls) = countingEngine(Dtlp.build(g, z = 20, xi = 2))
+    val n = g.numVertices
+    Seq((-1, 5), (5, n), (n + 3, 5), (5, -7)).foreach { case (s, t) =>
+      assertThrows[IllegalArgumentException](engine.batch(Seq(KspQuery(0, 1, 90, 2), KspQuery(1, s, t, 2))))
+    }
+    assert(calls.get == 0)
   }
 
   test("single-subgraph graph degrades to plain Yen") {

@@ -89,7 +89,7 @@ class PropertySpec extends SparkSpec {
         idx.pairs.foreach { case ((a, b), pb) =>
           val sp = Dijkstra.shortestPath(idx.sg.local, idx.sg.localOf(a), idx.sg.localOf(b),
             bannedVertex = banned.contains).get
-          assert(pb.lbd(LbdMode.Safe, idx.unitTable) <= sp.distance + 1e-9)
+          assert(pb.lbd(LbdMode.Faithful, idx.unitTable) <= sp.distance + 1e-9)
         }
       }
     }

@@ -52,9 +52,9 @@ class SkeletonGraphSpec extends SparkSpec {
     }
   }
 
-  test("Theorem 2 holds after weight drift (Safe mode)") {
+  test("Theorem 2 holds after weight drift") {
     val g = RoadNetGen.generate(300, seed = 17)
-    val dtlp = Dtlp.build(g, z = 25, xi = 3, LbdMode.Safe)
+    val dtlp = Dtlp.build(g, z = 25, xi = 3)
     (1 to 3).foreach { round =>
       val batch = TrafficModel.snapshot(g.snapshot(), 0.5, 0.5, round)
       dtlp.update(batch)

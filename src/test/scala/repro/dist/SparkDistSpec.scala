@@ -14,8 +14,8 @@ class SparkDistSpec extends SparkSpec {
 
   test("distributed build produces the same skeleton as the local build") {
     val g = g0.snapshot()
-    val local = Dtlp.build(g.snapshot(), z = 25, xi = 3, LbdMode.Safe)
-    val sparkDtlp = SparkDtlp.build(spark, g, z = 25, xi = 3, LbdMode.Safe)
+    val local = Dtlp.build(g.snapshot(), z = 25, xi = 3)
+    val sparkDtlp = SparkDtlp.build(spark, g, z = 25, xi = 3)
     assert(sparkDtlp.skeleton.numVertices == local.skeleton.numVertices)
     assert(sparkDtlp.skeleton.numEdges == local.skeleton.numEdges)
     local.subIndexes.flatMap(_.pairs.keys).distinct.foreach { case (a, b) =>
@@ -57,7 +57,7 @@ class SparkDistSpec extends SparkSpec {
   test("distributed maintenance keeps results exact after drift") {
     val g = g0.snapshot()
     val probe = g.snapshot()
-    val sparkDtlp = SparkDtlp.build(spark, g, z = 25, xi = 3, LbdMode.Safe)
+    val sparkDtlp = SparkDtlp.build(spark, g, z = 25, xi = 3)
     val engine = SparkKspEngine(sparkDtlp)
     for (round <- 1 to 3) {
       val batch = TrafficModel.snapshot(probe, 0.5, 0.5, round)
@@ -73,17 +73,29 @@ class SparkDistSpec extends SparkSpec {
   test("update refreshes skeleton weights to the distributed LBD minima") {
     val g = g0.snapshot()
     val probe = g.snapshot()
-    val sparkDtlp = SparkDtlp.build(spark, g, z = 25, xi = 3, LbdMode.Safe)
+    val sparkDtlp = SparkDtlp.build(spark, g, z = 25, xi = 3)
     val batch = TrafficModel.snapshot(probe, 0.4, 0.4, 1)
     probe.applyUpdates(batch)
     sparkDtlp.update(batch)
     // Compare against a local index updated with the same batch.
-    val local = Dtlp.build(probe.snapshot(), z = 25, xi = 3, LbdMode.Safe)
+    val local = Dtlp.build(probe.snapshot(), z = 25, xi = 3)
     local.subIndexes.flatMap(_.pairs.keys).distinct.take(200).foreach { case (a, b) =>
       val lw = local.skeleton.weightOf(a, b).get
       val sw = sparkDtlp.skeleton.weightOf(a, b).get
       assert(math.abs(lw - sw) < 1e-9, s"pair ($a,$b)")
     }
+  }
+
+  test("update rejects an unknown edge or a bad weight before anything is written") {
+    val g = g0.snapshot()
+    val sparkDtlp = SparkDtlp.build(spark, g, z = 25, xi = 3)
+    val before = g.weights.clone()
+    val valid = WeightUpdate(0, 2 * before(0), before(0))
+    Seq(WeightUpdate(g.numEdges, 1.0, 1.0), WeightUpdate(1, Double.NaN, Double.NaN)).foreach { u =>
+      assertThrows[IllegalArgumentException](sparkDtlp.update(Seq(valid, u)))
+      assert(g.weights.sameElements(before), s"driver graph written for $u")
+    }
+    sparkDtlp.close()
   }
 
   test("attachment bounds served by the cluster match the local service") {
