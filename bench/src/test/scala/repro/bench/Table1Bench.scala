@@ -6,7 +6,8 @@ import repro.roadnet.RoadNetGen
 /** Table 1: road-network statistics — #vertices, #edges, default z,
   * #subgraphs (with the n_b > 5 count in parentheses), and |G_λ|.
   * Paper values (full-size DIMACS networks) are printed alongside for the
-  * shape comparison recorded in EXPERIMENTS.md.
+  * shape comparison (kspbench/README.md holds the repository's measured
+  * record).
   */
 class Table1Bench extends BenchHarness {
 

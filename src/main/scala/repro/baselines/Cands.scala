@@ -35,7 +35,13 @@ final class Cands(val partitioning: Partitioning) extends Serializable {
       out.toMap
     }
 
-    def recompute(): Unit = { paths = compute() }
+    /** Write `updates` (all owned by this subgraph) to the local copy and
+      * recompute its all-pairs boundary paths.
+      */
+    def update(updates: Seq[WeightUpdate]): Unit = {
+      updates.foreach(u => sg.local.weights(sg.localEdgeOfGlobal(u.edgeId)) = u.newWeight)
+      paths = compute()
+    }
   }
 
   val subIdx: Vector[SubgraphSpIndex] = partitioning.subgraphs.map(new SubgraphSpIndex(_))
@@ -59,10 +65,7 @@ final class Cands(val partitioning: Partitioning) extends Serializable {
 
   /** Maintenance: recompute every subgraph touched by the batch. */
   def update(batch: Seq[WeightUpdate]): Unit = {
-    partitioning.applyUpdates(batch)
-    batch.map(u => partitioning.subgraphOfEdge(u.edgeId)).distinct.foreach { sgId =>
-      if (sgId >= 0) subIdx(sgId).recompute()
-    }
+    partitioning.routeUpdates(batch).foreach { case (sgId, us) => subIdx(sgId).update(us) }
     overlayCache = None
   }
 

@@ -210,8 +210,9 @@ final class SubgraphDtlp(
 }
 
 /** Whole-index facade: partitioning + per-subgraph indexes + skeleton graph.
-  * This is the single-process reference implementation; `repro.dist` mirrors
-  * it over a Spark cluster.
+  * This is the single-process reference implementation; `repro.dist`
+  * deploys the same driver steps ([[Partitioning.routeUpdates]],
+  * [[MbdFold]]) over a Spark cluster.
   */
 final class Dtlp(
     val partitioning: Partitioning,
@@ -219,35 +220,22 @@ final class Dtlp(
     val mode: LbdMode,
     val subIndexes: Vector[SubgraphDtlp]) extends Serializable {
 
-  val skeleton: SkeletonGraph =
-    SkeletonGraph.build(subIndexes.flatMap(_.lbds))
+  private val mbds = new MbdFold
 
-  /** pair → subgraphs that index it (precomputed: the update hot path). */
-  private val indexingSubgraphs: Map[(Int, Int), Array[Int]] =
-    subIndexes.flatMap(idx => idx.pairs.keysIterator.map(_ -> idx.sg.id))
-      .groupBy(_._1)
-      .map { case (pair, xs) => pair -> xs.map(_._2).toArray }
+  val skeleton: SkeletonGraph = SkeletonGraph.build(mbds.fold(
+    subIndexes.flatMap(idx => idx.lbds.map { case (a, b, d) => (idx.sg.id, a, b, d) })))
 
-  /** Apply a weight-update batch everywhere: master graph, subgraph copies,
-    * EP-Indexes, and skeleton weights (MBD = min LBD across subgraphs).
-    * A batch naming an unknown edge or a non-finite or non-positive weight
-    * is rejected whole, before anything is written.
+  /** Apply a weight-update batch everywhere: master graph, the touched
+    * subgraph indexes (local weights and EP-Indexes), and skeleton weights
+    * (MBD = min LBD across subgraphs). A batch naming an unknown edge or a
+    * non-finite or non-positive weight is rejected whole, before anything
+    * is written.
     */
   def update(batch: Seq[WeightUpdate]): Unit = {
-    partitioning.graph.applyUpdates(batch)
-    val bySg = batch.groupBy(u => partitioning.subgraphOfEdge(u.edgeId))
-    val touched = bySg.keysIterator.filter(_ >= 0).toSeq
-    touched.foreach(sgId => subIndexes(sgId).update(bySg(sgId), mode))
-    // Recompute MBD for every pair of a touched subgraph: min across all
-    // subgraphs indexing the pair (others' LBDs are current by induction).
-    val affectedPairs = touched.iterator.flatMap(sgId => subIndexes(sgId).pairs.keysIterator).toSet
-    val changes = affectedPairs.iterator.map { case (a, b) =>
-      val mbd = indexingSubgraphs((a, b)).iterator
-        .map(s => subIndexes(s).pairs((a, b)).lbd(mode, subIndexes(s).unitTable))
-        .min
-      (a, b, mbd)
-    }.toSeq
-    skeleton.updateWeights(changes)
+    val rows = partitioning.routeUpdates(batch).toSeq.flatMap { case (sgId, us) =>
+      subIndexes(sgId).update(us, mode).map { case (a, b, d) => (sgId, a, b, d) }
+    }
+    skeleton.updateWeights(mbds.fold(rows))
   }
 
   /** Total EP-Index storage elements across subgraphs (paper's cost metric). */

@@ -35,32 +35,47 @@ trait RefineService extends Serializable {
     items.distinct.map(it => it -> attachmentBounds(it._1, it._2)).toMap
 }
 
+/** The QueryBolt's merges (Section 5.2, Figure 14), shared by every
+  * [[RefineService]]: results computed per subgraph are combined here.
+  */
+object RefineService {
+  /** One pair's partial paths from the subgraphs holding both ends:
+    * distinct by vertex sequence, ascending distance, the first `k`.
+    */
+  def mergePartials(paths: Seq[Path], k: Int): Seq[Path] =
+    paths.distinctBy(_.vertices).sortBy(_.distance).take(k)
+
+  /** One endpoint's attachment edges from the subgraphs containing it: the
+    * minimum weight per target, sorted by target.
+    */
+  def mergeAttachments(edges: Seq[(Int, Double)]): Seq[(Int, Double)] =
+    edges.groupBy(_._1).map { case (tgt, ws) => tgt -> ws.map(_._2).min }.toSeq.sortBy(_._1)
+}
+
 /** In-process refine service backed by the local [[Dtlp]]. */
 final class LocalRefineService(dtlp: Dtlp) extends RefineService {
   def partialKsp(requests: Seq[PairRequest]): Map[(Int, Int), Seq[Path]] =
     requests.map { r =>
-      val merged = r.sgIds
-        .flatMap(sgId => dtlp.subIndexes(sgId).partialKsp(r.a, r.b, r.k))
-        .distinctBy(_.vertices)
-        .sortBy(_.distance)
-        .take(r.k)
-      (r.a, r.b) -> merged
+      (r.a, r.b) -> RefineService.mergePartials(
+        r.sgIds.flatMap(sgId => dtlp.subIndexes(sgId).partialKsp(r.a, r.b, r.k)), r.k)
     }.toMap
 
-  def attachmentBounds(v: Int, extraTargets: Set[Int]): Seq[(Int, Double)] = {
-    // Usually one subgraph (non-boundary v); merging with min also covers the
-    // corner case of a boundary vertex that never made it into the skeleton.
-    dtlp.partitioning.subgraphsOfVertex(v).toSeq
-      .flatMap(sgId => dtlp.subIndexes(sgId).boundsFrom(v, extraTargets))
-      .groupBy(_._1)
-      .map { case (tgt, ws) => tgt -> ws.map(_._2).min }
-      .toSeq.sortBy(_._1)
-  }
+  // Usually one subgraph (non-boundary v); merging with min also covers the
+  // corner case of a boundary vertex that never made it into the skeleton.
+  def attachmentBounds(v: Int, extraTargets: Set[Int]): Seq[(Int, Double)] =
+    RefineService.mergeAttachments(dtlp.partitioning.subgraphsOfVertex(v).toSeq
+      .flatMap(sgId => dtlp.subIndexes(sgId).boundsFrom(v, extraTargets)))
 }
 
 object KspDgEngine {
-  /** Per-iteration tracing for diagnosis; enable with -Drepro.ksp.trace=1. */
-  val traceEnabled: Boolean = sys.props.get("repro.ksp.trace").contains("1")
+  /** Safety margin added to each pair's `k`, and to the prefixes the join
+    * keeps, so that non-simple joins can fall back to deeper segments
+    * (DESIGN.md §3).
+    */
+  private val PairKExtra = 2
+
+  /** Refined pairs of one batch: canonical pair → (k computed, paths). */
+  private type PairCache = mutable.HashMap[(Int, Int), (Int, Seq[Path])]
 
   /** Shared daemon pool for per-query work (one thread ≙ one QueryBolt). */
   lazy val workerPool: java.util.concurrent.ExecutorService =
@@ -78,10 +93,10 @@ object KspDgEngine {
 
 object KspDg {
   /** Engine over a local in-process [[Dtlp]] (reference implementation). */
-  def local(dtlp: Dtlp, pairKExtra: Int = 2, maxIterations: Int = 5000,
+  def local(dtlp: Dtlp, maxIterations: Int = 5000,
             queryParallelism: Int = Runtime.getRuntime.availableProcessors): KspDgEngine =
     new KspDgEngine(dtlp.partitioning, dtlp.skeleton, new LocalRefineService(dtlp),
-      pairKExtra, maxIterations, queryParallelism)
+      maxIterations, queryParallelism)
 }
 
 /** KSP-DG (Algorithm 3): iterative filter-and-refine over the DTLP index.
@@ -91,28 +106,21 @@ object KspDg {
   * [[RefineService]] for partial k-shortest paths — the distributable step —
   * joins them into candidate KSPs, and maintains the running top-k list `L`
   * until Theorem 3's termination condition holds.
-  *
-  * @param pairKExtra safety margin added to per-pair `k` so that non-simple
-  *                   joins can fall back to deeper segments (DESIGN.md §3)
   */
 final class KspDgEngine(
     partitioning: Partitioning,
     skeleton: SkeletonGraph,
     refine: RefineService,
-    pairKExtra: Int = 2,
     maxIterations: Int = 5000,
     queryParallelism: Int = Runtime.getRuntime.availableProcessors) extends Serializable {
 
-  /** Cross-query cache of refined pairs: canonical pair → (k computed, paths).
-    * Concurrent: read by query threads during merge, written only in the
-    * sequential refine phase of each round.
-    */
-  private val pairCache = scala.collection.concurrent.TrieMap.empty[(Int, Int), (Int, Seq[Path])]
+  import KspDgEngine.{PairCache, PairKExtra}
 
-  /** Drop cached partial paths — REQUIRED after any weight-update batch, as
-    * cached partials are priced at the weights current when refined.
+  /** Does nothing: the pair cache lives for one [[batch]], so no partial
+    * path outlives an update. Kept because the benchmark harness
+    * (`kspbench/`) calls it.
     */
-  def invalidateCache(): Unit = pairCache.clear()
+  def invalidateCache(): Unit = ()
 
   def query(q: KspQuery): KspResult = batch(Seq(q)).head
 
@@ -121,7 +129,8 @@ final class KspDgEngine(
     * into a single refine call (one Spark job per round in the distributed
     * setting), then each query joins, updates `L`, and tests termination.
     * A query with `k <= 0` or an endpoint outside the graph rejects the
-    * whole batch before any work.
+    * whole batch before any work. Refined pairs are cached for the batch
+    * only, so every batch prices its partial paths at current weights.
     */
   def batch(qs: Seq[KspQuery]): Seq[KspResult] = {
     val n = partitioning.graph.numVertices
@@ -136,6 +145,9 @@ final class KspDgEngine(
     val attachments = if (plans.isEmpty) Map.empty[(Int, Set[Int]), Seq[(Int, Double)]]
                       else refine.attachmentBoundsBatch(plans)
     val states = qs.map(new QueryState(_, attachments))
+    // Written only in the sequential refine phase of each round, read by
+    // query threads during merge.
+    val pairCache: PairCache = mutable.HashMap.empty
     var active = states.filter(!_.done)
     while (active.nonEmpty) {
       // Filter step: one new reference path per active query, computed by
@@ -146,7 +158,7 @@ final class KspDgEngine(
       active.foreach { st =>
         st.currentPairs.foreach { case (a, b) =>
           val key = canon(a, b)
-          val need = st.q.k + pairKExtra
+          val need = st.q.k + PairKExtra
           val have = pairCache.get(key).map(_._1).getOrElse(0)
           if (have < need) wanted(key) = math.max(wanted.getOrElse(key, 0), need)
         }
@@ -160,7 +172,7 @@ final class KspDgEngine(
         }
       }
       // Refine/merge step per query, then termination test.
-      inParallel(active)(_.mergeAndTest())
+      inParallel(active)(_.mergeAndTest(pairCache))
       active = active.filter(!_.done)
     }
     states.map(_.result)
@@ -193,7 +205,7 @@ final class KspDgEngine(
     extras.map(v => (v, extras.toSet - v))
   }
 
-  private def segsFor(a: Int, b: Int): IndexedSeq[Path] = {
+  private def segsFor(pairCache: PairCache, a: Int, b: Int): IndexedSeq[Path] = {
     val cached = pairCache.get(canon(a, b)).map(_._2).getOrElse(Seq.empty)
     val oriented = if (a < b) cached else cached.map(reverse)
     oriented.toIndexedSeq
@@ -204,12 +216,12 @@ final class KspDgEngine(
   /** Left-to-right join of per-pair segment lists into candidate KSPs
     * (Algorithm 4 lines 8–10: `C = C ⋈ Y`, keep the k shortest), with an
     * explicit simplicity filter on every concatenation (DESIGN.md §3).
-    * Keeping `k + pairKExtra` prefixes at each step bounds the cost at
+    * Keeping `k + PairKExtra` prefixes at each step bounds the cost at
     * O(pairs · (k + extra)²) while giving non-simple prefixes a fallback.
     */
   private[core] def joinSegments(segments: IndexedSeq[IndexedSeq[Path]], k: Int): Seq[Path] = {
     if (segments.isEmpty || segments.exists(_.isEmpty)) return Seq.empty
-    val keep = k + pairKExtra
+    val keep = k + PairKExtra
     var prefixes: Seq[Path] = segments.head.filter(_.isSimple).sortBy(_.distance).take(keep)
     var i = 1
     while (i < segments.size && prefixes.nonEmpty) {
@@ -271,10 +283,10 @@ final class KspDgEngine(
     def currentPairs: Seq[(Int, Int)] =
       refPathGlobal.toSeq.flatMap(r => r.zip(r.tail))
 
-    def mergeAndTest(): Unit = {
+    def mergeAndTest(pairCache: PairCache): Unit = {
       if (done) return
       refPathGlobal.foreach { r =>
-        val segLists = r.zip(r.tail).map { case (a, b) => segsFor(a, b) }.toIndexedSeq
+        val segLists = r.zip(r.tail).map { case (a, b) => segsFor(pairCache, a, b) }.toIndexedSeq
         val candidates = joinSegments(segLists, q.k)
         candidates.foreach { c =>
           if (!L.exists(_.vertices == c.vertices)) L += c
@@ -284,9 +296,6 @@ final class KspDgEngine(
       }
       val nextRefDist = yen.flatMap(_.peekDistance())
       val kth = if (L.size >= q.k) Some(L(q.k - 1).distance) else None
-      if (KspDgEngine.traceEnabled)
-        Console.err.println(f"[ksp-dg-trace] q=${q.id} it=$iterations refLen=${refPathGlobal.map(_.size).getOrElse(0)} " +
-          f"kth=${kth.getOrElse(Double.NaN)}%.1f nextRef=${nextRefDist.getOrElse(Double.NaN)}%.1f |L|=${L.size}")
       done =
         (kth.isDefined && (nextRefDist.isEmpty || kth.get <= nextRefDist.get + 1e-9)) ||
         nextRefDist.isEmpty ||

@@ -9,8 +9,10 @@ import scala.collection.mutable
   * supports fast per-subgraph Dijkstra/Yen; `localOf`/`globalOf` translate.
   *
   * The local graph's *initial* weights are the global initial weights, so
-  * local vfrag counts match the global ones; its current weights are kept in
-  * sync by [[Partitioning.applyUpdates]] or by the index layers.
+  * local vfrag counts match the global ones. Its current weights are written
+  * only by the index that owns the copy ([[SubgraphDtlp.update]], or the
+  * CANDS baseline's own copies); the copies the Spark driver keeps for the
+  * build keep their build-time weights, since the executors own the live ones.
   *
   * @param id        dense subgraph id
   * @param vertexIds global vertex ids, sorted
@@ -31,12 +33,6 @@ final case class Subgraph(
 
   /** Boundary vertices of this subgraph (global ids); set by the partitioner. */
   var boundaryIds: Array[Int] = Array.empty
-
-  /** Push a batch of global-edge weight updates into the local graph. */
-  def applyUpdates(updates: Iterable[WeightUpdate]): Unit =
-    updates.foreach { u =>
-      localEdgeOfGlobal.get(u.edgeId).foreach(le => local.weights(le) = u.newWeight)
-    }
 }
 
 /** Result of partitioning: the subgraphs plus global lookup structures. */
@@ -74,12 +70,14 @@ final class Partitioning(
     sa.filter(sb.contains)
   }
 
-  /** Propagate weight updates to the master graph and all local subgraph copies. */
-  def applyUpdates(updates: Iterable[WeightUpdate]): Unit = {
-    graph.applyUpdates(updates)
-    updates.groupBy(u => subgraphOfEdge(u.edgeId)).foreach { case (sgId, us) =>
-      if (sgId >= 0) subgraphs(sgId).applyUpdates(us)
-    }
+  /** Update routing (the EntranceSpout's step, Section 5.2): write `batch`
+    * to the master graph, which rejects it whole when it names an unknown
+    * edge or a non-finite or non-positive weight, and group it by owning
+    * subgraph. Subgraph-local weights are left to the indexes that own them.
+    */
+  def routeUpdates(batch: Seq[WeightUpdate]): Map[Int, Seq[WeightUpdate]] = {
+    graph.applyUpdates(batch)
+    batch.groupBy(u => subgraphOfEdge(u.edgeId))
   }
 }
 

@@ -72,6 +72,29 @@ final class SkeletonGraph private (
   }
 }
 
+/** The per-pair, per-subgraph LBDs behind the skeleton's weights (Section
+  * 3.6: a pair's MBD is the minimum LBD over the subgraphs indexing it).
+  * Both deployments' drivers fold in the LBD rows their subgraph indexes
+  * return, at build and after each update batch. It lives beside the
+  * skeleton and the subgraph indexes, not in them, so the serialized index
+  * does not carry it.
+  */
+final class MbdFold extends Serializable {
+  private val lbdOf = mutable.HashMap.empty[(Int, Int), mutable.HashMap[Int, Double]]
+
+  /** Record `(sgId, a, b, lbd)` rows (`a < b`) and return `(a, b, MBD)` for
+    * every pair they name, in order of first mention.
+    */
+  def fold(rows: Iterable[(Int, Int, Int, Double)]): Seq[(Int, Int, Double)] = {
+    val named = mutable.LinkedHashSet.empty[(Int, Int)]
+    rows.foreach { case (sgId, a, b, lbd) =>
+      lbdOf.getOrElseUpdate((a, b), mutable.HashMap.empty)(sgId) = lbd
+      named += ((a, b))
+    }
+    named.iterator.map { case (a, b) => (a, b, lbdOf((a, b)).valuesIterator.min) }.toSeq
+  }
+}
+
 object SkeletonGraph {
   /** Build from (a, b, mbd) triples over global boundary vertex ids. */
   def build(pairs: Iterable[(Int, Int, Double)]): SkeletonGraph = {

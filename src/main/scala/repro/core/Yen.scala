@@ -41,9 +41,6 @@ final class YenIterator(
 
   private def bannedInterior(v: Int): Boolean = v != s && v != t && !interiorAllowed(v)
 
-  /** All accepted paths so far, shortest first. */
-  def acceptedPaths: Seq[Path] = accepted.toSeq
-
   /** Distance of the next path without consuming it, if one exists. */
   def peekDistance(): Option[Double] = {
     ensureCandidate()

@@ -7,7 +7,8 @@ import repro.core._
   * 14, Step 2): the driver broadcasts the round's pair requests; every
   * partition (≙ SubgraphBolt) computes partial k-shortest paths for the
   * requests that target its subgraphs; partials flow back to the driver
-  * (≙ QueryBolt), which merges per pair across subgraphs.
+  * (≙ QueryBolt), which merges them per pair with the same
+  * [[RefineService]] merges as the local service.
   */
 final class SparkRefineService(dtlp: SparkDtlp) extends RefineService {
 
@@ -31,10 +32,10 @@ final class SparkRefineService(dtlp: SparkDtlp) extends RefineService {
       }(kryo[PartialRow])
       .collect()
     bc.destroy()
-    val wantedK = requests.map(r => (r.a, r.b) -> r.k).toMap
-    rows.toSeq.groupBy(_._1).map { case (key, xs) =>
-      key -> xs.map(_._2).distinctBy(_.vertices).sortBy(_.distance).take(wantedK.getOrElse(key, xs.size))
-    }
+    val byPair = rows.toSeq.groupMap(_._1)(_._2)
+    requests.map { r =>
+      (r.a, r.b) -> RefineService.mergePartials(byPair.getOrElse((r.a, r.b), Seq.empty), r.k)
+    }.toMap
   }
 
   def attachmentBounds(v: Int, extraTargets: Set[Int]): Seq[(Int, Double)] =
@@ -57,9 +58,10 @@ final class SparkRefineService(dtlp: SparkDtlp) extends RefineService {
       .collect()
     bc.destroy()
     // A boundary-ish vertex can live in several subgraphs: merge with min.
-    rows.toSeq.groupBy(_._1).map { case (key, xs) =>
-      key -> xs.flatMap(_._2).groupBy(_._1).map { case (tgt, ws) => tgt -> ws.map(_._2).min }.toSeq.sortBy(_._1)
-    }
+    val byItem = rows.toSeq.groupMap(_._1)(_._2)
+    items.distinct.map { it =>
+      it -> RefineService.mergeAttachments(byItem.getOrElse(it, Seq.empty).flatten)
+    }.toMap
   }
 }
 
@@ -68,8 +70,8 @@ final class SparkRefineService(dtlp: SparkDtlp) extends RefineService {
   * active query in the batch.
   */
 object SparkKspEngine {
-  def apply(dtlp: SparkDtlp, pairKExtra: Int = 2, maxIterations: Int = 5000,
+  def apply(dtlp: SparkDtlp, maxIterations: Int = 5000,
             queryParallelism: Int = Runtime.getRuntime.availableProcessors): KspDgEngine =
     new KspDgEngine(dtlp.partitioning, dtlp.skeleton, new SparkRefineService(dtlp),
-      pairKExtra, maxIterations, queryParallelism)
+      maxIterations, queryParallelism)
 }

@@ -136,7 +136,6 @@ class DtlpSpec extends SparkSpec {
         Seq.fill(2)(w * (0.5 + rnd.nextDouble())).map(nw => WeightUpdate(e, nw, nw - w))
       }
       dtlp.update(batch)
-      engine.invalidateCache()
       dtlp.subIndexes.foreach { idx =>
         idx.epPaths.foreach { bp =>
           val repriced = bp.localEdges.map(idx.sg.local.weights).sum

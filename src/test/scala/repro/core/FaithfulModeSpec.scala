@@ -43,7 +43,6 @@ class FaithfulModeSpec extends SparkSpec {
       for (round <- 1 to 2) {
         val batch = TrafficModel.snapshot(g.snapshot(), 0.35, 0.30, round, seed = seed)
         dtlp.update(batch)
-        engine.invalidateCache()
         val (s, t) = (11, g.numVertices - 13)
         val got = TestGraphs.distances(engine.query(KspQuery(0, s, t, 2)).paths)
         val expect = TestGraphs.distances(Yen.ksp(g, s, t, 2))

@@ -70,12 +70,23 @@ class KspDgSpec extends SparkSpec {
       for (round <- 1 to 3) {
         val batch = TrafficModel.snapshot(g.snapshot(), alpha = 0.5, tau = 0.5, round = round, seed = seed)
         dtlp.update(batch)
-        engine.invalidateCache()
         val s = rnd.nextInt(g.numVertices)
         val t = (s + g.numVertices / 2) % g.numVertices
         check(g, engine, s, t, 3, s"seed=$seed round=$round")
       }
     }
+  }
+
+  test("a query after an update sees the new weights without any invalidation") {
+    val g = RoadNetGen.generate(220, seed = 105)
+    val dtlp = Dtlp.build(g, z = 25, xi = 3)
+    val engine = KspDg.local(dtlp)
+    val (s, t) = (3, g.numVertices - 5)
+    check(g, engine, s, t, 3, "before update")
+    // Triple every weight: partial paths refined by the first query would
+    // now be priced at a third of their cost.
+    dtlp.update((0 until g.numEdges).map(e => WeightUpdate(e, 3 * g.weights(e), 2 * g.weights(e))))
+    check(g, engine, s, t, 3, "after update")
   }
 
   test("DuckDB oracle confirms KSP-DG distances on a tiny network") {

@@ -63,16 +63,6 @@ class PartitionerSpec extends SparkSpec {
     }
   }
 
-  test("applyUpdates reaches master graph and local copies") {
-    val g = RoadNetGen.generate(200, seed = 9)
-    val p = Partitioner.partition(g, 20)
-    val e = 3
-    p.applyUpdates(Seq(WeightUpdate(e, 123.5, 123.5 - g.weights(e))))
-    assert(g.weights(e) == 123.5)
-    val sg = p.subgraphs(p.subgraphOfEdge(e))
-    assert(sg.local.weights(sg.localEdgeOfGlobal(e)) == 123.5)
-  }
-
   test("z below 2 is rejected") {
     assertThrows[IllegalArgumentException](Partitioner.partition(road, 1))
   }

@@ -63,7 +63,6 @@ class SparkDistSpec extends SparkSpec {
       val batch = TrafficModel.snapshot(probe, 0.5, 0.5, round)
       probe.applyUpdates(batch)
       sparkDtlp.update(batch)
-      engine.invalidateCache()
       val got = TestGraphs.distances(engine.query(KspQuery(0, 7, 210, 3)).paths)
       val expect = TestGraphs.distances(Yen.ksp(probe, 7, 210, 3))
       assert(got == expect, s"round=$round")
@@ -74,16 +73,26 @@ class SparkDistSpec extends SparkSpec {
     val g = g0.snapshot()
     val probe = g.snapshot()
     val sparkDtlp = SparkDtlp.build(spark, g, z = 25, xi = 3)
-    val batch = TrafficModel.snapshot(probe, 0.4, 0.4, 1)
-    probe.applyUpdates(batch)
-    sparkDtlp.update(batch)
-    // Compare against a local index updated with the same batch.
-    val local = Dtlp.build(probe.snapshot(), z = 25, xi = 3)
-    local.subIndexes.flatMap(_.pairs.keys).distinct.take(200).foreach { case (a, b) =>
-      val lw = local.skeleton.weightOf(a, b).get
-      val sw = sparkDtlp.skeleton.weightOf(a, b).get
-      assert(math.abs(lw - sw) < 1e-9, s"pair ($a,$b)")
+    // A local index taking the same batches must end with bit-equal weights.
+    val local = Dtlp.build(g.snapshot(), z = 25, xi = 3)
+    val pairs = local.subIndexes.flatMap(_.pairs.keys).distinct
+    for (round <- 1 to 3) {
+      val drift = TrafficModel.snapshot(probe, 0.4, 0.4, round)
+      // Round 2 also names one edge twice; the later event holds.
+      val batch = if (round != 2) drift else {
+        val u = drift.head
+        drift :+ WeightUpdate(u.edgeId, 1.5 * u.newWeight, 1.5 * u.newWeight - probe.weights(u.edgeId))
+      }
+      probe.applyUpdates(batch)
+      sparkDtlp.update(batch)
+      local.update(batch)
+      pairs.foreach { case (a, b) =>
+        val lw = local.skeleton.weightOf(a, b).map(java.lang.Double.doubleToRawLongBits)
+        val sw = sparkDtlp.skeleton.weightOf(a, b).map(java.lang.Double.doubleToRawLongBits)
+        assert(lw.isDefined && lw == sw, s"round=$round pair ($a,$b)")
+      }
     }
+    sparkDtlp.close()
   }
 
   test("update rejects an unknown edge or a bad weight before anything is written") {
@@ -114,14 +123,17 @@ class SparkDistSpec extends SparkSpec {
   }
 
   test("scale-out repartitioning does not change results") {
-    val g = g0.snapshot()
-    val sparkDtlp = SparkDtlp.build(spark, g, z = 25, xi = 3, numWorkers = 8)
-    val expect = TestGraphs.distances(SparkKspEngine(sparkDtlp).query(KspQuery(0, 3, 240, 3)).paths)
+    def built(n: Int): SparkDtlp = SparkDtlp.build(spark, g0.snapshot(), z = 25, xi = 3, numWorkers = n)
+    val expect = {
+      val d = built(8)
+      try TestGraphs.distances(SparkKspEngine(d).query(KspQuery(0, 3, 240, 3)).paths) finally d.close()
+    }
     Seq(1, 2, 4).foreach { n =>
-      val resized = sparkDtlp.withWorkers(n)
-      assert(resized.numWorkers == n)
-      assert(resized.indexes.rdd.getNumPartitions == n)
-      val got = TestGraphs.distances(SparkKspEngine(resized).query(KspQuery(0, 3, 240, 3)).paths)
+      val d = built(n)
+      assert(d.numWorkers == n)
+      assert(d.indexes.rdd.getNumPartitions == n)
+      val got = TestGraphs.distances(SparkKspEngine(d).query(KspQuery(0, 3, 240, 3)).paths)
+      d.close()
       assert(got == expect, s"workers=$n")
     }
   }

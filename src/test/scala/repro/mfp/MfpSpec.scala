@@ -161,9 +161,9 @@ class MfpSpec extends SparkSpec {
       batch.foreach { u =>
         idx.sg.localEdgeOfGlobal.get(u.edgeId).foreach { le =>
           compressed.applyDelta(le, u.delta)
+          idx.sg.local.weights(le) = u.newWeight
         }
       }
-      idx.sg.applyUpdates(batch)
     }
     idx.epPaths.foreach { bp =>
       val expect = bp.localEdges.map(idx.sg.local.weights).sum
