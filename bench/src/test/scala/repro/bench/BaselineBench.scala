@@ -14,7 +14,7 @@ class BaselineBench extends BenchHarness {
 
   private def run(netName: String, cfgNet: RoadNetGen.NetworkConfig, z: Int, nqs: Seq[Int]): Seq[Seq[Any]] = {
     val g = RoadNetGen.generate(cfgNet)
-    val dtlp = SparkDtlp.build(spark, g, z, xi = 8, LbdMode.Faithful)
+    val dtlp = SparkDtlp.build(spark, g, z, xi = 8)
     dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.35, 0.30, 1))
     val engine = SparkKspEngine(dtlp, maxIterations = 1500)
     val yen = new YenBaseline(g)
@@ -47,7 +47,7 @@ class BaselineBench extends BenchHarness {
 
   test("Figure 39 shape: batch time vs k (NY-lite, 12 queries)") {
     val g = RoadNetGen.generate(RoadNetGen.NyLite)
-    val dtlp = SparkDtlp.build(spark, g, 50, 8, LbdMode.Faithful)
+    val dtlp = SparkDtlp.build(spark, g, 50, 8)
     dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.35, 0.30, 1))
     val engine = SparkKspEngine(dtlp, maxIterations = 1500)
     val yen = new YenBaseline(g)

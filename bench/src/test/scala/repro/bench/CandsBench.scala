@@ -25,7 +25,7 @@ class CandsBench extends BenchHarness {
     val rows = Seq(50, 125, 250).map { z =>
       val cands = new Cands(Partitioner.partition(g.snapshot(), z))
       val dtlpG = g.snapshot()
-      val dtlp = Dtlp.build(dtlpG, z, xi = 8, LbdMode.Faithful)
+      val dtlp = Dtlp.build(dtlpG, z, xi = 8)
       val candsMaintS = (1 to 3).map { r =>
         val batch = TrafficModel.snapshot(cands.partitioning.graph.snapshot(), 0.5, 0.5, r)
         secondsOf(cands.update(batch))
@@ -49,7 +49,7 @@ class CandsBench extends BenchHarness {
     val g = RoadNetGen.generate(RoadNetGen.NyLite)
     val cands = new Cands(Partitioner.partition(g.snapshot(), 50))
     val dtlpG = g.snapshot()
-    val dtlp = Dtlp.build(dtlpG, 50, xi = 8, LbdMode.Faithful)
+    val dtlp = Dtlp.build(dtlpG, 50, xi = 8)
     val engine = KspDg.local(dtlp, maxIterations = 1500)
     val rnd = new scala.util.Random(23)
     val pairs = (1 to 20).map(_ => (rnd.nextInt(g.numVertices), rnd.nextInt(g.numVertices)))

@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.apache.spark.sql.Encoders
-import repro.core.LbdMode
 import repro.dist.SparkDtlp
 import repro.roadnet.RoadNetGen
 
@@ -14,7 +13,7 @@ class DtlpConstructionBench extends BenchHarness {
   test("Figure 15/16 shape: NY-lite build time and EP-Index size vs z") {
     val g = RoadNetGen.generate(RoadNetGen.NyLite)
     val rows = Seq(15, 25, 50, 100).map { z =>
-      val (dtlp, secs) = timeS(SparkDtlp.build(spark, g.snapshot(), z, xi = 8, LbdMode.Faithful))
+      val (dtlp, secs) = timeS(SparkDtlp.build(spark, g.snapshot(), z, xi = 8))
       val ep = dtlp.indexes
         .map(_.epIndex.storageElements)(Encoders.scalaLong)
         .collect().sum
@@ -27,7 +26,7 @@ class DtlpConstructionBench extends BenchHarness {
   test("Figure 20 shape: build time ~linear in graph size") {
     val rows = Seq(4000, 8000, 16000).map { n =>
       val g = RoadNetGen.generate(n, seed = 5)
-      val (_, secs) = timeS(SparkDtlp.build(spark, g, z = 50, xi = 8, LbdMode.Faithful))
+      val (_, secs) = timeS(SparkDtlp.build(spark, g, z = 50, xi = 8))
       Seq(n, fmt(secs))
     }
     table("DTLP construction vs graph size N_g (z=50, xi=8) — paper: ~linear growth",

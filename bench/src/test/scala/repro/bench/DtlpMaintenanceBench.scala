@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.core.{Dtlp, LbdMode}
+import repro.core.Dtlp
 import repro.dist.SparkDtlp
 import repro.roadnet.{RoadNetGen, TrafficModel}
 
@@ -25,7 +25,7 @@ class DtlpMaintenanceBench extends BenchHarness {
   test("Figure 22 shape: maintenance time vs xi (alpha=50%, tau=50%)") {
     val rows = Seq(4, 8, 12).map { xi =>
       val g = ny.snapshot()
-      val dtlp = Dtlp.build(g, z = 50, xi = xi, LbdMode.Faithful)
+      val dtlp = Dtlp.build(g, z = 50, xi = xi)
       Seq(xi, fmt3(localUpdateSeconds(dtlp, g, 0.5, 0.5, rounds = 5)))
     }
     table("DTLP maintenance vs xi (NY-lite, z=50) — paper: ascending, rate slows for large xi",
@@ -36,7 +36,7 @@ class DtlpMaintenanceBench extends BenchHarness {
 
   test("Figure 23 shape: maintenance time vs alpha (xi=8, tau=50%)") {
     val g = ny.snapshot()
-    val dtlp = Dtlp.build(g, z = 50, xi = 8, LbdMode.Faithful)
+    val dtlp = Dtlp.build(g, z = 50, xi = 8)
     localUpdateSeconds(dtlp, g, 0.5, 0.5, rounds = 2) // JIT warm-up
     val rows = Seq(0.1, 0.3, 0.5).map { alpha =>
       Seq(f"${alpha * 100}%.0f%%", fmt3(localUpdateSeconds(dtlp, g, alpha, 0.5, rounds = 5)))
@@ -50,7 +50,7 @@ class DtlpMaintenanceBench extends BenchHarness {
   test("Figure 21 shape: cluster update throughput across graph sizes") {
     val rows = Seq(4000, 8000, 16000).map { n =>
       val g = RoadNetGen.generate(n, seed = 6)
-      val dtlp = SparkDtlp.build(spark, g, z = 50, xi = 8, LbdMode.Faithful)
+      val dtlp = SparkDtlp.build(spark, g, z = 50, xi = 8)
       val batch = TrafficModel.snapshot(g.snapshot(), 0.5, 0.3, 1)
       val secs = secondsOf(dtlp.update(batch))
       Seq(n, batch.size, fmt3(secs), f"${batch.size / secs}%.0f")

@@ -26,8 +26,8 @@ class IterationsBench extends BenchHarness {
                             paperMechanism: Boolean, cap: Int = 1200): Double = {
     val g = ny.snapshot()
     val dtlp =
-      if (paperMechanism) Dtlp.build(g, 50, xi, LbdMode.Faithful, levelSpread = 1.0, exactRefreshEnabled = false)
-      else Dtlp.build(g, 50, xi, LbdMode.Faithful)
+      if (paperMechanism) Dtlp.build(g, 50, xi, levelSpread = 1.0, exactRefreshEnabled = false)
+      else Dtlp.build(g, 50, xi)
     dtlp.update(TrafficModel.snapshot(g.snapshot(), alpha, tau, 1))
     val engine = KspDg.local(dtlp, maxIterations = cap)
     val results = engine.batch(queryPairs.zipWithIndex.map { case ((s, t), i) => KspQuery(i, s, t, k) })

@@ -19,7 +19,7 @@ class KspQueryBench extends BenchHarness {
 
   private def builtEngine(z: Int, xi: Int): (SparkDtlp, KspDgEngine) = {
     val g = ny.snapshot()
-    val dtlp = SparkDtlp.build(spark, g, z, xi, LbdMode.Faithful)
+    val dtlp = SparkDtlp.build(spark, g, z, xi)
     dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.35, 0.30, 1))
     (dtlp, SparkKspEngine(dtlp, maxIterations = 1500))
   }
@@ -57,7 +57,7 @@ class KspQueryBench extends BenchHarness {
     val qs = queries(16, k = 5, seed = 31)
     val rows = Seq(4, 8, 12).map { xi =>
       val g = ny.snapshot()
-      val dtlp = SparkDtlp.build(spark, g, 50, xi, LbdMode.Faithful,
+      val dtlp = SparkDtlp.build(spark, g, 50, xi,
         levelSpread = 1.0, exactRefreshEnabled = false)
       dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.35, 0.30, 1))
       val engine = SparkKspEngine(dtlp, maxIterations = 1200)
@@ -74,7 +74,7 @@ class KspQueryBench extends BenchHarness {
     val qs = queries(16, k = 2, seed = 37)
     val rows = Seq(0.10, 0.50).map { tau =>
       val g = ny.snapshot()
-      val dtlp = SparkDtlp.build(spark, g, 50, 8, LbdMode.Faithful)
+      val dtlp = SparkDtlp.build(spark, g, 50, 8)
       dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.35, tau, 1))
       val engine = SparkKspEngine(dtlp, maxIterations = 1500)
       val (_, secs) = timeS(engine.batch(qs))

@@ -14,9 +14,9 @@ class ScaleOutBench extends BenchHarness {
   test("Figure 42 shape: DTLP build time vs number of workers") {
     val g = RoadNetGen.generate(RoadNetGen.NyLite)
     // Warm-up build: JIT-compile the whole index path before measuring.
-    SparkDtlp.build(spark, g.snapshot(), 50, 8, LbdMode.Faithful, numWorkers = 4).close()
+    SparkDtlp.build(spark, g.snapshot(), 50, 8, numWorkers = 4).close()
     val rows = Seq(1, 4, 16).map { n =>
-      val (dtlp, secs) = timeS(SparkDtlp.build(spark, g.snapshot(), 50, 8, LbdMode.Faithful, numWorkers = n))
+      val (dtlp, secs) = timeS(SparkDtlp.build(spark, g.snapshot(), 50, 8, numWorkers = n))
       dtlp.close()
       Seq(n, fmt(secs))
     }
@@ -32,7 +32,7 @@ class ScaleOutBench extends BenchHarness {
     val pairs = (1 to 24).map(_ => (rnd.nextInt(g.numVertices), rnd.nextInt(g.numVertices)))
       .filter { case (s, t) => s != t }
     val rows = Seq(1, 4, 16).flatMap { workers =>
-      val dtlp = SparkDtlp.build(spark, g.snapshot(), 50, 8, LbdMode.Faithful, numWorkers = workers)
+      val dtlp = SparkDtlp.build(spark, g.snapshot(), 50, 8, numWorkers = workers)
       val engine = SparkKspEngine(dtlp, maxIterations = 1500, queryParallelism = workers)
       val kRows = Seq(2, 5).map { k =>
         val qs = pairs.zipWithIndex.map { case ((s, t), i) => KspQuery(i, s, t, k) }

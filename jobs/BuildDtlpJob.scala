@@ -1,6 +1,5 @@
 package repro.jobs
 
-import repro.core.LbdMode
 import repro.dist.SparkDtlp
 
 /** Build the DTLP index for a network on the cluster and print its shape.
@@ -14,7 +13,7 @@ object BuildDtlpJob {
     val (name, g, defaultZ) = JobUtil.network(netName)
     val z = args.lift(1).map(_.toInt).getOrElse(defaultZ)
     val xi = args.lift(2).map(_.toInt).getOrElse(8)
-    val (dtlp, secs) = JobUtil.time(SparkDtlp.build(spark, g, z, xi, LbdMode.Faithful))
+    val (dtlp, secs) = JobUtil.time(SparkDtlp.build(spark, g, z, xi))
     println(f"network=$name vertices=${g.numVertices} edges=${g.numEdges} z=$z xi=$xi")
     println(f"subgraphs=${dtlp.partitioning.subgraphs.size} " +
       f"boundary=${dtlp.partitioning.boundaryVertices.length} " +

@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.core.{KspQuery, LbdMode}
+import repro.core.KspQuery
 import repro.dist.{SparkDtlp, SparkKspEngine}
 
 /** Run a batch of random KSP queries through the distributed engine
@@ -18,7 +18,7 @@ object KspQueryJob {
     val (name, g, defaultZ) = JobUtil.network(netName)
     val z = args.lift(3).map(_.toInt).getOrElse(defaultZ)
     val xi = args.lift(4).map(_.toInt).getOrElse(8)
-    val dtlp = SparkDtlp.build(spark, g, z, xi, LbdMode.Faithful)
+    val dtlp = SparkDtlp.build(spark, g, z, xi)
     val engine = SparkKspEngine(dtlp)
     val rnd = new scala.util.Random(13)
     val queries = (1 to nq).map { i =>

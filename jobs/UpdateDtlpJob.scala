@@ -1,6 +1,5 @@
 package repro.jobs
 
-import repro.core.LbdMode
 import repro.dist.SparkDtlp
 import repro.roadnet.TrafficModel
 
@@ -20,7 +19,7 @@ object UpdateDtlpJob {
     val (name, g, defaultZ) = JobUtil.network(netName)
     val z = args.lift(4).map(_.toInt).getOrElse(defaultZ)
     val xi = args.lift(5).map(_.toInt).getOrElse(8)
-    val dtlp = SparkDtlp.build(spark, g, z, xi, LbdMode.Faithful)
+    val dtlp = SparkDtlp.build(spark, g, z, xi)
     println(s"network=$name rounds=$rounds alpha=$alpha tau=$tau z=$z xi=$xi")
     (1 to rounds).foreach { r =>
       val batch = TrafficModel.snapshot(dtlp.partitioning.graph.snapshot(), alpha, tau, r)

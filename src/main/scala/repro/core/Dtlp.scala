@@ -197,11 +197,18 @@ final class SubgraphDtlp(
     * query-time skeleton augmentation (Section 5.3, Step 1). Computed fresh
     * per query by one banned Dijkstra, so the exact distance is itself the
     * tightest valid lower bound — no index maintenance involved.
+    *
+    * The `extraTargets` (the query's other endpoint) are not transited
+    * either: a simple path between the two endpoints never passes through
+    * one of them in its interior, so the bounds stay valid, and the
+    * skeleton gets no attachment edge that only a non-simple walk realizes.
     */
   def boundsFrom(vG: Int, extraTargets: Set[Int] = Set.empty): Seq[(Int, Double)] = {
+    val extras = extraTargets.filter(sg.contains)
+    val extraLocal = extras.map(sg.localOf)
     val res = Dijkstra.run(sg.local, sg.localOf(vG),
-      noTransit = lv => isLocalBoundary(lv))
-    val targets = (sg.boundaryIds.toSet ++ extraTargets.filter(sg.contains)) - vG
+      noTransit = lv => isLocalBoundary(lv) || extraLocal.contains(lv))
+    val targets = (sg.boundaryIds.toSet ++ extras) - vG
     targets.toSeq.sorted.flatMap { tG =>
       val d = res.dist(sg.localOf(tG))
       if (d.isInfinite) None else Some(tG -> d)
@@ -230,12 +237,20 @@ final class Dtlp(
     * (MBD = min LBD across subgraphs). A batch naming an unknown edge or a
     * non-finite or non-positive weight is rejected whole, before anything
     * is written.
+    *
+    * The touched subgraph indexes are updated concurrently on the
+    * [[WorkerPool]] (each writes only its own subgraph); their LBD rows are
+    * folded in routing order, so the skeleton weights equal those of a
+    * sequential replay bit for bit. `update` must not overlap a running
+    * [[KspDgEngine.batch]] over this index: queries read the local weights,
+    * stored distances and skeleton weights it writes in place.
     */
   def update(batch: Seq[WeightUpdate]): Unit = {
-    val rows = partitioning.routeUpdates(batch).toSeq.flatMap { case (sgId, us) =>
+    val routed = partitioning.routeUpdates(batch).toSeq
+    val rows = WorkerPool.map(routed) { case (sgId, us) =>
       subIndexes(sgId).update(us, mode).map { case (a, b, d) => (sgId, a, b, d) }
     }
-    skeleton.updateWeights(mbds.fold(rows))
+    skeleton.updateWeights(mbds.fold(rows.flatten))
   }
 
   /** Total EP-Index storage elements across subgraphs (paper's cost metric). */
@@ -244,6 +259,9 @@ final class Dtlp(
 
 object Dtlp {
   /** Algorithm 1: partition, index every subgraph, assemble the skeleton.
+    * The subgraph indexes are built concurrently on the [[WorkerPool]]; each
+    * reads only its own subgraph and numbers its paths `sgId << 32 | seq`,
+    * so the index does not depend on thread timing.
     * `levelSpread`/`exactRefreshEnabled` default to the corrected adaptive
     * behaviour; pass (1.0, false) for the paper's fixed-ξ pure-bound
     * mechanism (DESIGN.md §3). `mode` has the single value
@@ -257,7 +275,7 @@ object Dtlp {
       levelSpread: Double = SubgraphDtlp.DefaultLevelSpread,
       exactRefreshEnabled: Boolean = true): Dtlp = {
     val partitioning = Partitioner.partition(g, z)
-    val subIndexes = partitioning.subgraphs.map(new SubgraphDtlp(_, xi, levelSpread, exactRefreshEnabled))
+    val subIndexes = WorkerPool.map(partitioning.subgraphs)(new SubgraphDtlp(_, xi, levelSpread, exactRefreshEnabled)).toVector
     new Dtlp(partitioning, xi, mode, subIndexes)
   }
 }

@@ -15,14 +15,18 @@ final class EpIndex private (
   def pathsThrough(le: Int): Seq[(BoundingPath, Int)] =
     entries.getOrElse(le, Array.empty[(BoundingPath, Int)]).toSeq
 
-  /** Apply one weight delta; returns the set of affected (a, b) pairs. */
-  def applyDelta(localEdge: Int, delta: Double): Set[(Int, Int)] = {
-    val touched = mutable.HashSet.empty[(Int, Int)]
-    entries.get(localEdge).foreach(_.foreach { case (bp, mult) =>
-      bp.distance += mult * delta
-      touched += ((bp.a, bp.b))
-    })
-    touched.toSet
+  /** Apply one weight delta: bump every path through `localEdge` by
+    * `multiplicity · delta`. It runs once per update event, so it walks the
+    * edge's array and builds no collection.
+    */
+  def applyDelta(localEdge: Int, delta: Double): Unit = {
+    val through = entries.getOrElse(localEdge, EpIndex.NoPaths)
+    var i = 0
+    while (i < through.length) {
+      val entry = through(i)
+      entry._1.distance += entry._2 * delta
+      i += 1
+    }
   }
 
   /** Number of (edge → path) list elements — the paper's storage-cost metric
@@ -35,6 +39,8 @@ final class EpIndex private (
 }
 
 object EpIndex {
+  private val NoPaths = Array.empty[(BoundingPath, Int)]
+
   /** Index every bounding path of a subgraph by the edges it traverses. */
   def build(paths: Iterable[BoundingPath]): EpIndex = {
     val byEdge = mutable.HashMap.empty[Int, mutable.HashMap[Long, (BoundingPath, Int)]]

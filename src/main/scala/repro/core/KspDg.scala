@@ -76,19 +76,6 @@ object KspDgEngine {
 
   /** Refined pairs of one batch: canonical pair → (k computed, paths). */
   private type PairCache = mutable.HashMap[(Int, Int), (Int, Seq[Path])]
-
-  /** Shared daemon pool for per-query work (one thread ≙ one QueryBolt). */
-  lazy val workerPool: java.util.concurrent.ExecutorService =
-    java.util.concurrent.Executors.newFixedThreadPool(
-      Runtime.getRuntime.availableProcessors,
-      new java.util.concurrent.ThreadFactory {
-        private val n = new java.util.concurrent.atomic.AtomicInteger
-        def newThread(r: Runnable): Thread = {
-          val t = new Thread(r, s"ksp-dg-worker-${n.incrementAndGet()}")
-          t.setDaemon(true)
-          t
-        }
-      })
 }
 
 object KspDg {
@@ -179,19 +166,11 @@ final class KspDgEngine(
   }
 
   /** Run one action per query state, at most `queryParallelism` at a time,
-    * on the shared daemon worker pool (threads ≙ QueryBolts).
+    * on the shared [[WorkerPool]] (threads ≙ QueryBolts).
     */
   private def inParallel(states: Seq[QueryState])(f: QueryState => Unit): Unit = {
-    if (states.size <= 1 || queryParallelism <= 1) states.foreach(f)
-    else {
-      val buckets = states.zipWithIndex.groupBy(_._2 % queryParallelism).values.toSeq
-      val futures = buckets.map { bucket =>
-        KspDgEngine.workerPool.submit(new Runnable {
-          def run(): Unit = bucket.foreach { case (st, _) => f(st) }
-        })
-      }
-      futures.foreach(_.get())
-    }
+    val buckets = states.zipWithIndex.groupBy(_._2 % math.max(1, queryParallelism)).values.toSeq
+    WorkerPool.map(buckets)(_.foreach { case (st, _) => f(st) })
   }
 
   private def canon(a: Int, b: Int): (Int, Int) = if (a < b) (a, b) else (b, a)

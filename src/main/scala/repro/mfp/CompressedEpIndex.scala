@@ -56,18 +56,13 @@ final class CompressedEpIndex(
   /** Same contract as `EpIndex.applyDelta`: bump the stored distance of every
     * bounding path through `localEdge` by `multiplicity · delta`.
     */
-  def applyDelta(localEdge: Int, delta: Double): Set[(Int, Int)] = {
-    val touched = mutable.HashSet.empty[(Int, Int)]
+  def applyDelta(localEdge: Int, delta: Double): Unit =
     treeOfEdge.get(localEdge).foreach { tree =>
       val mults = pathIdsOfEdge(localEdge)
       tree.pathSetOf(localEdge).foreach { pid =>
-        val bp = pathById(pid)
-        bp.distance += mults(pid) * delta
-        touched += ((bp.a, bp.b))
+        pathById(pid).distance += mults(pid) * delta
       }
     }
-    touched.toSet
-  }
 
   /** Path-id set recovered from the trees (for equivalence tests). */
   def pathSetOf(localEdge: Int): Set[Long] =

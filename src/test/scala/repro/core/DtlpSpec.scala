@@ -40,7 +40,7 @@ class DtlpSpec extends SparkSpec {
 
   test("exactRefresh pairs carry the exact interior-free shortest distance") {
     val g = RoadNetGen.generate(400, seed = 21)
-    val dtlp = Dtlp.build(g, z = 60, xi = 4, LbdMode.Faithful)
+    val dtlp = Dtlp.build(g, z = 60, xi = 4)
     import repro.roadnet.TrafficModel
     (1 to 2).foreach(r => dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.5, 0.5, r)))
     dtlp.subIndexes.foreach { idx =>
@@ -170,7 +170,7 @@ class DtlpSpec extends SparkSpec {
 
   test("bounding paths themselves never change across updates") {
     val g = RoadNetGen.generate(200, seed = 7)
-    val dtlp = Dtlp.build(g, z = 20, xi = 3, LbdMode.Faithful)
+    val dtlp = Dtlp.build(g, z = 20, xi = 3)
     val before = dtlp.subIndexes.flatMap(_.pairs.values).flatMap(_.paths)
       .map(bp => bp.pathId -> (bp.phi, bp.localVertices.toSeq)).toMap
     (1 to 3).foreach { r => dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.5, 0.5, r)) }
@@ -204,6 +204,58 @@ class DtlpSpec extends SparkSpec {
       val sp = Dijkstra.shortestPath(idx.sg.local, idx.sg.localOf(interior), idx.sg.localOf(tgt),
         bannedVertex = banned.contains).get
       assert(lbd <= sp.distance + 1e-9, s"target=$tgt")
+    }
+  }
+
+  // ------------------------------- concurrent build and update ≡ sequential
+  private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+
+  /** Same pairs, stored paths, bounds and skeleton weights, bit for bit. */
+  private def assertSameIndex(a: Dtlp, b: Dtlp, tag: String): Unit = {
+    assert(a.subIndexes.size == b.subIndexes.size)
+    a.subIndexes.zip(b.subIndexes).foreach { case (x, y) =>
+      assert(x.pairs.keySet == y.pairs.keySet, s"$tag sg=${x.sg.id}")
+      x.pairs.foreach { case (key, pb) =>
+        val qb = y.pairs(key)
+        assert(pb.pathPhiBound == qb.pathPhiBound && pb.exactRefresh == qb.exactRefresh, s"$tag pair=$key")
+        assert(pb.paths.size == qb.paths.size, s"$tag pair=$key")
+        pb.paths.zip(qb.paths).foreach { case (p, q) =>
+          assert(p.pathId == q.pathId && p.phi == q.phi, s"$tag pair=$key")
+          assert(p.localVertices.sameElements(q.localVertices), s"$tag path=${p.pathId}")
+          assert(bits(p.distance) == bits(q.distance), s"$tag path=${p.pathId}")
+        }
+      }
+    }
+    assert(a.skeleton.globalOf.sameElements(b.skeleton.globalOf), tag)
+    assert(a.skeleton.graph.weights.map(bits).sameElements(b.skeleton.graph.weights.map(bits)), s"$tag skeleton weights")
+  }
+
+  test("concurrent build and update equal a sequential build and update, bit for bit") {
+    val g = RoadNetGen.generate(400, seed = 23)
+    val (z, xi) = (30, 3)
+    val twinGraph = g.snapshot()
+    val built = Dtlp.build(g, z, xi)
+    val p = Partitioner.partition(twinGraph, z)
+    val twin = new Dtlp(p, xi, LbdMode.Faithful, p.subgraphs.map(new SubgraphDtlp(_, xi)))
+    assertSameIndex(built, twin, "build")
+    // The sequential driver steps: one subgraph after another, in routing order.
+    val mbds = new MbdFold
+    mbds.fold(twin.subIndexes.flatMap(idx => idx.lbds.map { case (a, b, d) => (idx.sg.id, a, b, d) }))
+    val rnd = new scala.util.Random(23)
+    for (round <- 1 to 3) {
+      val snapshot = TrafficModel.snapshot(g.snapshot(), 0.5, 0.4, round)
+      // Round 2 names some edges twice; the later event's weight holds.
+      val batch = if (round != 2) snapshot else snapshot ++ snapshot.take(40).map { u =>
+        val nw = u.newWeight * (0.5 + rnd.nextDouble())
+        WeightUpdate(u.edgeId, nw, nw - u.newWeight)
+      }
+      if (round == 2) assert(batch.map(_.edgeId).distinct.size < batch.size)
+      built.update(batch)
+      val rows = p.routeUpdates(batch).toSeq.flatMap { case (sgId, us) =>
+        twin.subIndexes(sgId).update(us, LbdMode.Faithful).map { case (a, b, d) => (sgId, a, b, d) }
+      }
+      twin.skeleton.updateWeights(mbds.fold(rows))
+      assertSameIndex(built, twin, s"round=$round")
     }
   }
 

@@ -57,12 +57,15 @@ class EpIndexSpec extends SparkSpec {
     }
   }
 
-  test("applyDelta returns the affected pairs") {
+  test("applyDelta bumps exactly the paths through the edge, by multiplicity") {
     val (_, idx) = indexFor(5)
     val le = idx.epIndex.entries.keys.head
-    val touched = idx.epIndex.applyDelta(le, 0.0)
-    val expect = idx.epIndex.pathsThrough(le).map { case (bp, _) => (bp.a, bp.b) }.toSet
-    assert(touched == expect)
+    val before = idx.epPaths.map(bp => bp.pathId -> bp.distance).toMap
+    val mult = idx.epIndex.pathsThrough(le).map { case (bp, m) => bp.pathId -> m }.toMap
+    idx.epIndex.applyDelta(le, 1.5)
+    idx.epPaths.foreach { bp =>
+      assert(bp.distance == before(bp.pathId) + mult.getOrElse(bp.pathId, 0) * 1.5, s"path=${bp.pathId}")
+    }
   }
 
   test("storage elements match the handbook formula shape") {

@@ -26,7 +26,7 @@ class FaithfulModeSpec extends SparkSpec {
 
   test("faithful skeleton weights stay finite and positive under drift") {
     val g = RoadNetGen.generate(250, seed = 2)
-    val dtlp = Dtlp.build(g, z = 25, xi = 3, LbdMode.Faithful)
+    val dtlp = Dtlp.build(g, z = 25, xi = 3)
     (1 to 5).foreach(r => dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.4, 0.3, r)))
     val sk = dtlp.skeleton
     (0 until sk.numEdges).foreach { e =>
@@ -38,7 +38,7 @@ class FaithfulModeSpec extends SparkSpec {
     // α=0.35, τ=0.30 — the paper's defaults.
     for (seed <- 1 to 3) {
       val g = RoadNetGen.generate(220, seed = 200 + seed)
-      val dtlp = Dtlp.build(g, z = 25, xi = 3, LbdMode.Faithful)
+      val dtlp = Dtlp.build(g, z = 25, xi = 3)
       val engine = KspDg.local(dtlp)
       for (round <- 1 to 2) {
         val batch = TrafficModel.snapshot(g.snapshot(), 0.35, 0.30, round, seed = seed)
@@ -57,13 +57,13 @@ class FaithfulModeSpec extends SparkSpec {
     // (which is what CANDS-style exact indexes effectively must do).
     def run(): (Long, Long) = {
       val gg = RoadNetGen.generate(600, seed = 3)
-      val dtlp = Dtlp.build(gg, z = 50, xi = 4, LbdMode.Faithful)
+      val dtlp = Dtlp.build(gg, z = 50, xi = 4)
       val batches = (1 to 5).map(r => TrafficModel.snapshot(gg.snapshot(), 0.5, 0.4, r))
       val t0 = System.nanoTime()
       batches.foreach(dtlp.update)
       val updateNs = System.nanoTime() - t0
       val t1 = System.nanoTime()
-      Dtlp.build(gg, z = 50, xi = 4, LbdMode.Faithful)
+      Dtlp.build(gg, z = 50, xi = 4)
       val rebuildNs = System.nanoTime() - t1
       (updateNs / 5, rebuildNs)
     }
@@ -74,7 +74,7 @@ class FaithfulModeSpec extends SparkSpec {
 
   test("faithful LBD never exceeds the stored-walk minimum distance") {
     val g = RoadNetGen.generate(250, seed = 4)
-    val dtlp = Dtlp.build(g, z = 25, xi = 3, LbdMode.Faithful)
+    val dtlp = Dtlp.build(g, z = 25, xi = 3)
     (1 to 3).foreach(r => dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.5, 0.5, r)))
     dtlp.subIndexes.foreach { idx =>
       idx.pairs.values.foreach { pb =>

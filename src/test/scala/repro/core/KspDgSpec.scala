@@ -169,6 +169,30 @@ class KspDgSpec extends SparkSpec {
     assert(calls.get == 0)
   }
 
+  /** The benchmark's query-local dataset after its first traffic snapshot,
+    * generated as `kspbench.Inputs` does (2,500 vertices, α = 0.35,
+    * τ = 0.30), indexed with its settings (z = 50, ξ = 8, a 1,500-iteration
+    * cap). Returns the graph at current weights and the engine.
+    */
+  private lazy val queryLocal: (WeightedGraph, KspDgEngine) = {
+    val seed = scala.util.hashing.MurmurHash3.stringHash("query-local").toLong
+    val g = RoadNetGen.generate(2500, seed = seed)
+    val dtlp = Dtlp.build(g, z = 50, xi = 8)
+    dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.35, 0.30, 1, seed))
+    (g, KspDg.local(dtlp, maxIterations = 1500))
+  }
+
+  // Near pairs with a dead-end (degree-1) endpoint: an attachment edge that
+  // transits the other endpoint used to feed the filter endless non-simple
+  // reference paths, up to the iteration cap.
+  for ((s, t) <- Seq((800, 801), (287, 286), (2345, 2346), (782, 832)))
+    test(s"query-local $s->$t after one snapshot finishes in a few iterations and matches Yen") {
+      val (g, engine) = queryLocal
+      val got = engine.query(KspQuery(0, s, t, 4))
+      assert(got.iterations <= 5, s"iterations=${got.iterations}")
+      assert(TestGraphs.distances(got.paths) == TestGraphs.distances(Yen.ksp(g, s, t, 4)))
+    }
+
   test("single-subgraph graph degrades to plain Yen") {
     val g = TestGraphs.randomConnected(30, 20, 9)
     val dtlp = Dtlp.build(g, z = g.numVertices + 1, xi = 2)
