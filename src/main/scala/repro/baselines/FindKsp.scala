@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{KspQuery, KspResult, Path, WeightedGraph, Yen}
+import repro.core.{KspQuery, KspResult, Path, Termination, WeightedGraph, Yen}
 
 /** Centralized SPT-accelerated KSP baseline, standing in for FindKSP
   * [Liu et al., TKDE 2018] as used in Figures 35–39.
@@ -14,7 +14,7 @@ import repro.core.{KspQuery, KspResult, Path, WeightedGraph, Yen}
   */
 final class FindKsp(g: WeightedGraph) extends Serializable {
 
-  def query(q: KspQuery): KspResult = KspResult(q, ksp(q.s, q.t, q.k), iterations = 1)
+  def query(q: KspQuery): KspResult = KspResult(q, ksp(q.s, q.t, q.k), iterations = 1, Termination.Exhausted)
 
   def batch(qs: Seq[KspQuery]): Seq[KspResult] = qs.map(query)
 

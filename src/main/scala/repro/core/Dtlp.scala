@@ -243,9 +243,10 @@ final class Dtlp(
     * folded in routing order, so the skeleton weights equal those of a
     * sequential replay bit for bit. `update` must not overlap a running
     * [[KspDgEngine.batch]] over this index: queries read the local weights,
-    * stored distances and skeleton weights it writes in place.
+    * stored distances and skeleton weights it writes in place. The writes
+    * run inside [[SkeletonGraph.writing]], so an overlapping batch throws.
     */
-  def update(batch: Seq[WeightUpdate]): Unit = {
+  def update(batch: Seq[WeightUpdate]): Unit = skeleton.writing {
     val routed = partitioning.routeUpdates(batch).toSeq
     val rows = WorkerPool.map(routed) { case (sgId, us) =>
       subIndexes(sgId).update(us, mode).map { case (a, b, d) => (sgId, a, b, d) }

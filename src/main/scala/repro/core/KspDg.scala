@@ -5,10 +5,31 @@ import scala.collection.mutable
 /** A k-shortest-path query (Definition 4). */
 final case class KspQuery(id: Long, s: Int, t: Int, k: Int)
 
-/** Query answer: up to `k` shortest simple paths, ascending distance, plus
-  * the number of filter-refine iterations KSP-DG ran (Section 5.5 metric).
+/** Why a query stopped. */
+sealed trait Termination
+object Termination {
+  /** Theorem 3: the k-th path found is no longer than the next reference
+    * path's lower bound, so no unseen path can beat it.
+    */
+  case object Theorem3 extends Termination
+  /** Every candidate was enumerated: no reference paths remain (or, for the
+    * whole-graph baselines, Yen itself produced the answer).
+    */
+  case object Exhausted extends Termination
+  /** Stopped at the iteration cap before either condition held: the paths
+    * are the best found, not proven to be the top k.
+    */
+  case object IterationCap extends Termination
+}
+
+/** Query answer: up to `k` shortest simple paths, ascending distance, the
+  * number of filter-refine iterations KSP-DG ran (Section 5.5 metric), and
+  * why it stopped.
   */
-final case class KspResult(query: KspQuery, paths: Seq[Path], iterations: Int)
+final case class KspResult(query: KspQuery, paths: Seq[Path], iterations: Int, termination: Termination) {
+  /** The paths are proven to be the top k (the query did not stop at the cap). */
+  def exact: Boolean = termination != Termination.IterationCap
+}
 
 /** One refine-step work item: partial k-shortest paths between a canonical
   * pair `(a < b)` to be computed in each of `sgIds` and merged.
@@ -76,6 +97,72 @@ object KspDgEngine {
 
   /** Refined pairs of one batch: canonical pair → (k computed, paths). */
   private type PairCache = mutable.HashMap[(Int, Int), (Int, Seq[Path])]
+
+  /** Left-to-right join of per-pair segment lists into candidate KSPs
+    * (Algorithm 4 lines 8–10: `C = C ⋈ Y`, keep the k shortest), with an
+    * explicit simplicity filter on every concatenation (DESIGN.md §3).
+    * Keeping `k + PairKExtra` prefixes at each step bounds the cost at
+    * O(pairs · (k + extra)²) while giving non-simple prefixes a fallback.
+    *
+    * A prefix joined with a simple segment is simple iff the segment's
+    * tail avoids the prefix's vertices, tested against one bit set per
+    * prefix. Each step ranks `(prefix, segment, distance)` triples stably by
+    * distance and builds only the kept joins. No dedup by vertex sequence is
+    * needed: within a list the segments are distinct, and in a simple join
+    * each boundary vertex of the reference path occurs once, which fixes
+    * every split point, so distinct triples give distinct paths.
+    */
+  private[core] def joinSegments(segments: IndexedSeq[IndexedSeq[Path]], k: Int): Seq[Path] = {
+    if (segments.isEmpty || segments.exists(_.isEmpty)) return Seq.empty
+    val keep = k + PairKExtra
+    var prefixes: IndexedSeq[Path] = segments.head.filter(_.isSimple).sortBy(_.distance).take(keep)
+    val onPrefix = new java.util.BitSet
+    val topPrefix = new Array[Int](keep)
+    val topSegment = new Array[Int](keep)
+    val topDist = new Array[Double](keep)
+    var i = 1
+    while (i < segments.size && prefixes.nonEmpty) {
+      val segs = segments(i)
+      val segSimple = segs.map(_.isSimple)
+      var count = 0
+      var c = 0
+      while (c < prefixes.size) {
+        val prefix = prefixes(c)
+        prefix.vertices.foreach(onPrefix.set)
+        var sIdx = 0
+        while (sIdx < segs.size) {
+          val seg = segs(sIdx)
+          require(prefix.target == seg.source, s"cannot join ${prefix.target} -> ${seg.source}")
+          if (segSimple(sIdx) && tailAvoids(seg.vertices, onPrefix)) {
+            val d = prefix.distance + seg.distance
+            // Stable top-`keep` insertion: after every kept triple of equal distance.
+            if (count < keep || java.lang.Double.compare(d, topDist(count - 1)) < 0) {
+              var pos = math.min(count, keep - 1)
+              while (pos > 0 && java.lang.Double.compare(topDist(pos - 1), d) > 0) {
+                topPrefix(pos) = topPrefix(pos - 1); topSegment(pos) = topSegment(pos - 1); topDist(pos) = topDist(pos - 1)
+                pos -= 1
+              }
+              topPrefix(pos) = c; topSegment(pos) = sIdx; topDist(pos) = d
+              if (count < keep) count += 1
+            }
+          }
+          sIdx += 1
+        }
+        onPrefix.clear()
+        c += 1
+      }
+      val current = prefixes
+      prefixes = (0 until count).map(j => current(topPrefix(j)) ++ segs(topSegment(j)))
+      i += 1
+    }
+    prefixes.take(k)
+  }
+
+  private def tailAvoids(vertices: Vector[Int], set: java.util.BitSet): Boolean = {
+    var j = 1
+    while (j < vertices.length && !set.get(vertices(j))) j += 1
+    j >= vertices.length
+  }
 }
 
 object KspDg {
@@ -101,7 +188,7 @@ final class KspDgEngine(
     maxIterations: Int = 5000,
     queryParallelism: Int = Runtime.getRuntime.availableProcessors) extends Serializable {
 
-  import KspDgEngine.{PairCache, PairKExtra}
+  import KspDgEngine.{PairCache, PairKExtra, joinSegments}
 
   /** Does nothing: the pair cache lives for one [[batch]], so no partial
     * path outlives an update. Kept because the benchmark harness
@@ -118,6 +205,10 @@ final class KspDgEngine(
     * A query with `k <= 0` or an endpoint outside the graph rejects the
     * whole batch before any work. Refined pairs are cached for the batch
     * only, so every batch prices its partial paths at current weights.
+    *
+    * A batch must not overlap an index update: it throws
+    * `ConcurrentModificationException` if the skeleton's write epoch was odd
+    * (an update in progress) when it started or moved while it ran.
     */
   def batch(qs: Seq[KspQuery]): Seq[KspResult] = {
     val n = partitioning.graph.numVertices
@@ -126,6 +217,7 @@ final class KspDgEngine(
       require(q.s >= 0 && q.s < n && q.t >= 0 && q.t < n,
         s"query ${q.id}: endpoints (${q.s}, ${q.t}) outside [0, $n)")
     }
+    val epoch = skeleton.epoch
     // Step 1 (Section 5.3), batched: LBD attachments for every non-boundary
     // endpoint in the batch, one refine-service call (one Spark job).
     val plans = qs.flatMap(attachmentPlan).distinct
@@ -162,6 +254,9 @@ final class KspDgEngine(
       inParallel(active)(_.mergeAndTest(pairCache))
       active = active.filter(!_.done)
     }
+    if ((epoch & 1L) != 0L || skeleton.epoch != epoch)
+      throw new java.util.ConcurrentModificationException(
+        s"the index was updated during a query batch (epoch $epoch -> ${skeleton.epoch})")
     states.map(_.result)
   }
 
@@ -192,38 +287,14 @@ final class KspDgEngine(
 
   private def reverse(p: Path): Path = Path(p.vertices.reverse, p.edgeIds.reverse, p.distance)
 
-  /** Left-to-right join of per-pair segment lists into candidate KSPs
-    * (Algorithm 4 lines 8–10: `C = C ⋈ Y`, keep the k shortest), with an
-    * explicit simplicity filter on every concatenation (DESIGN.md §3).
-    * Keeping `k + PairKExtra` prefixes at each step bounds the cost at
-    * O(pairs · (k + extra)²) while giving non-simple prefixes a fallback.
-    */
-  private[core] def joinSegments(segments: IndexedSeq[IndexedSeq[Path]], k: Int): Seq[Path] = {
-    if (segments.isEmpty || segments.exists(_.isEmpty)) return Seq.empty
-    val keep = k + PairKExtra
-    var prefixes: Seq[Path] = segments.head.filter(_.isSimple).sortBy(_.distance).take(keep)
-    var i = 1
-    while (i < segments.size && prefixes.nonEmpty) {
-      prefixes = (for {
-        c <- prefixes
-        s <- segments(i)
-        joined = c ++ s
-        if joined.isSimple
-      } yield joined)
-        .sortBy(_.distance)
-        .distinctBy(_.vertices)
-        .take(keep)
-      i += 1
-    }
-    prefixes.take(k)
-  }
-
   /** Per-query driver state (one QueryBolt instance). */
   private final class QueryState(
       val q: KspQuery,
       prefetched: Map[(Int, Set[Int]), Seq[(Int, Double)]]) {
     var done: Boolean = false
     var iterations: Int = 0
+    // Why the query stopped; set whenever `done` becomes true.
+    private var termination: Termination = Termination.Exhausted
     private val L = mutable.ArrayBuffer.empty[Path]
     private var refPathGlobal: Option[Vector[Int]] = None
 
@@ -275,12 +346,15 @@ final class KspDgEngine(
       }
       val nextRefDist = yen.flatMap(_.peekDistance())
       val kth = if (L.size >= q.k) Some(L(q.k - 1).distance) else None
-      done =
-        (kth.isDefined && (nextRefDist.isEmpty || kth.get <= nextRefDist.get + 1e-9)) ||
-        nextRefDist.isEmpty ||
-        iterations >= maxIterations
+      if (kth.isDefined && nextRefDist.isDefined && kth.get <= nextRefDist.get + 1e-9) {
+        termination = Termination.Theorem3; done = true
+      } else if (nextRefDist.isEmpty) {
+        termination = Termination.Exhausted; done = true
+      } else if (iterations >= maxIterations) {
+        termination = Termination.IterationCap; done = true
+      }
     }
 
-    def result: KspResult = KspResult(q, L.sortBy(_.distance).take(q.k).toSeq, iterations)
+    def result: KspResult = KspResult(q, L.sortBy(_.distance).take(q.k).toSeq, iterations, termination)
   }
 }

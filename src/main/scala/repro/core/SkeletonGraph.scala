@@ -20,6 +20,22 @@ final class SkeletonGraph private (
   def numEdges: Int = graph.numEdges
   def containsVertex(globalV: Int): Boolean = compactOf.contains(globalV)
 
+  // Seqlock-style write epoch of the index this skeleton belongs to: odd
+  // while an update writes, even otherwise. Not serialized.
+  @transient @volatile private var writeEpoch: Long = 0L
+
+  /** The current write epoch; a query batch that reads the same even value
+    * before and after it ran saw no update.
+    */
+  def epoch: Long = writeEpoch
+
+  /** Run `write` (an index update, single writer) with the epoch odd. */
+  private[repro] def writing[A](write: => A): A = {
+    writeEpoch += 1
+    try write
+    finally writeEpoch += 1
+  }
+
   /** Refresh the MBD weight of existing pairs (global ids, any order). */
   def updateWeights(changes: Iterable[(Int, Int, Double)]): Unit =
     changes.foreach { case (a, b, mbd) =>

@@ -34,23 +34,25 @@ final class SparkDtlp private (
 
   /** Apply a weight-update batch cluster-wide; one Spark job. A batch naming
     * an unknown edge or a non-finite or non-positive weight is rejected
-    * whole, before anything is written.
+    * whole, before anything is written. The writes run inside
+    * [[SkeletonGraph.writing]], so a query batch they overlap throws.
     */
-  def update(batch: Seq[WeightUpdate]): Unit = {
+  def update(batch: Seq[WeightUpdate]): Unit = skeleton.writing {
     val bySg = partitioning.routeUpdates(batch)
-    if (bySg.isEmpty) return
-    val bc = spark.sparkContext.broadcast(bySg)
-    val updated = indexesDs
-      .map { idx => idx.update(bc.value.getOrElse(idx.sg.id, Seq.empty), LbdMode.Faithful); idx }(kryo[SubgraphDtlp])
-      .localCheckpoint(eager = false)
-    // Materialize the new state; pull refreshed LBDs of touched subgraphs.
-    val rows = updated
-      .flatMap(idx => if (bc.value.contains(idx.sg.id)) lbdRows(idx) else Seq.empty)(LbdRowEncoder)
-      .collect()
-    indexesDs.unpersist(blocking = false)
-    indexesDs = updated
-    bc.destroy()
-    skeleton.updateWeights(mbds.fold(rows))
+    if (bySg.nonEmpty) {
+      val bc = spark.sparkContext.broadcast(bySg)
+      val updated = indexesDs
+        .map { idx => idx.update(bc.value.getOrElse(idx.sg.id, Seq.empty), LbdMode.Faithful); idx }(kryo[SubgraphDtlp])
+        .localCheckpoint(eager = false)
+      // Materialize the new state; pull refreshed LBDs of touched subgraphs.
+      val rows = updated
+        .flatMap(idx => if (bc.value.contains(idx.sg.id)) lbdRows(idx) else Seq.empty)(LbdRowEncoder)
+        .collect()
+      indexesDs.unpersist(blocking = false)
+      indexesDs = updated
+      bc.destroy()
+      skeleton.updateWeights(mbds.fold(rows))
+    }
   }
 
   /** Release the cached index Dataset (benchmarks build many instances). */
