@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.core.Dtlp
+import repro.core.{Dtlp, UpdateReport}
 import repro.dist.SparkDtlp
 import repro.roadnet.{RoadNetGen, TrafficModel}
 
@@ -14,36 +14,40 @@ class DtlpMaintenanceBench extends BenchHarness {
 
   private lazy val ny = RoadNetGen.generate(RoadNetGen.NyLite)
 
-  private def localUpdateSeconds(dtlp: Dtlp, g: repro.core.WeightedGraph,
-                                 alpha: Double, tau: Double, rounds: Int): Double = {
-    (1 to rounds).map { r =>
-      val batch = TrafficModel.snapshot(g.snapshot(), alpha, tau, r)
-      secondsOf(dtlp.update(batch))
-    }.sum / rounds
+  /** Mean seconds per update over `rounds` snapshots, in total and split
+    * into the report's route / subgraph / fold phases, plus the mean EP bumps.
+    */
+  private def localUpdateSplit(dtlp: Dtlp, g: repro.core.WeightedGraph,
+                               alpha: Double, tau: Double, rounds: Int): Seq[Double] = {
+    val reports = (1 to rounds).map(r => dtlp.update(TrafficModel.snapshot(g.snapshot(), alpha, tau, r)))
+    def mean(f: UpdateReport => Long): Double = reports.map(f).sum.toDouble / rounds
+    Seq(mean(_.totalNs) / 1e9, mean(_.routeNs) / 1e9, mean(_.subgraphNs) / 1e9, mean(_.foldNs) / 1e9, mean(_.epBumps))
   }
 
+  private val SplitHeader = Seq("avg update s", "route s", "subgraph s", "fold s", "EP bumps")
+
+  private def splitCells(split: Seq[Double]): Seq[String] = split.init.map(fmt3) :+ f"${split.last}%.0f"
+
   test("Figure 22 shape: maintenance time vs xi (alpha=50%, tau=50%)") {
-    val rows = Seq(4, 8, 12).map { xi =>
+    val splits = Seq(4, 8, 12).map { xi =>
       val g = ny.snapshot()
       val dtlp = Dtlp.build(g, z = 50, xi = xi)
-      Seq(xi, fmt3(localUpdateSeconds(dtlp, g, 0.5, 0.5, rounds = 5)))
+      xi -> localUpdateSplit(dtlp, g, 0.5, 0.5, rounds = 5)
     }
     table("DTLP maintenance vs xi (NY-lite, z=50) — paper: ascending, rate slows for large xi",
-      Seq("xi", "avg update s"), rows)
-    val times = rows.map(_(1).toString.toDouble)
+      "xi" +: SplitHeader, splits.map { case (xi, split) => xi.toString +: splitCells(split) })
+    val times = splits.map(_._2.head)
     assert(times.last >= times.head, s"maintenance not ascending in xi: $times")
   }
 
   test("Figure 23 shape: maintenance time vs alpha (xi=8, tau=50%)") {
     val g = ny.snapshot()
     val dtlp = Dtlp.build(g, z = 50, xi = 8)
-    localUpdateSeconds(dtlp, g, 0.5, 0.5, rounds = 2) // JIT warm-up
-    val rows = Seq(0.1, 0.3, 0.5).map { alpha =>
-      Seq(f"${alpha * 100}%.0f%%", fmt3(localUpdateSeconds(dtlp, g, alpha, 0.5, rounds = 5)))
-    }
+    localUpdateSplit(dtlp, g, 0.5, 0.5, rounds = 2) // JIT warm-up
+    val splits = Seq(0.1, 0.3, 0.5).map(alpha => alpha -> localUpdateSplit(dtlp, g, alpha, 0.5, rounds = 5))
     table("DTLP maintenance vs alpha (NY-lite, z=50, xi=8) — paper: ascending in alpha",
-      Seq("alpha", "avg update s"), rows)
-    val times = rows.map(_(1).toString.toDouble)
+      "alpha" +: SplitHeader, splits.map { case (alpha, split) => f"${alpha * 100}%.0f%%" +: splitCells(split) })
+    val times = splits.map(_._2.head)
     assert(times.last >= times.head, s"maintenance not ascending in alpha: $times")
   }
 
@@ -52,10 +56,11 @@ class DtlpMaintenanceBench extends BenchHarness {
       val g = RoadNetGen.generate(n, seed = 6)
       val dtlp = SparkDtlp.build(spark, g, z = 50, xi = 8)
       val batch = TrafficModel.snapshot(g.snapshot(), 0.5, 0.3, 1)
-      val secs = secondsOf(dtlp.update(batch))
-      Seq(n, batch.size, fmt3(secs), f"${batch.size / secs}%.0f")
+      val r = dtlp.update(batch)
+      val secs = r.totalNs / 1e9
+      Seq(n, batch.size, fmt3(secs), fmt3(r.subgraphNs / 1e9), fmt3(r.foldNs / 1e9), f"${batch.size / secs}%.0f")
     }
     table("Maintenance throughput vs graph size (z=50, xi=8, cluster) — paper: throughput roughly size-independent",
-      Seq("N_g vertices", "updates in batch", "update s", "updates/s"), rows)
+      Seq("N_g vertices", "updates in batch", "update s", "Spark jobs s", "fold s", "updates/s"), rows)
   }
 }

@@ -4,7 +4,8 @@ import repro.dist.SparkDtlp
 import repro.roadnet.TrafficModel
 
 /** Apply traffic-evolution rounds to a freshly built DTLP and report the
-  * per-round maintenance time (Figures 19–23 workload).
+  * per-round maintenance time, split into routing, the Spark update job and
+  * the MBD fold, with the update's work counts (Figures 19–23 workload).
   *
   * Usage: spark-submit --class repro.jobs.UpdateDtlpJob <jar>
   *        [network] [rounds] [alpha] [tau] [z] [xi]
@@ -23,8 +24,11 @@ object UpdateDtlpJob {
     println(s"network=$name rounds=$rounds alpha=$alpha tau=$tau z=$z xi=$xi")
     (1 to rounds).foreach { r =>
       val batch = TrafficModel.snapshot(dtlp.partitioning.graph.snapshot(), alpha, tau, r)
-      val (_, secs) = JobUtil.time(dtlp.update(batch))
-      println(f"round=$r updates=${batch.size} maintenanceSeconds=$secs%.3f")
+      val rep = dtlp.update(batch)
+      println(f"round=$r updates=${batch.size} maintenanceSeconds=${rep.totalNs / 1e9}%.3f " +
+        f"routeSeconds=${rep.routeNs / 1e9}%.3f sparkJobSeconds=${rep.subgraphNs / 1e9}%.3f foldSeconds=${rep.foldNs / 1e9}%.3f " +
+        s"touchedSubgraphs=${rep.touchedSubgraphs} epBumps=${rep.epBumps} exactRefreshDijkstras=${rep.exactRefreshDijkstras} " +
+        s"skeletonWeightsChanged=${rep.skeletonWeightsChanged}")
     }
     spark.stop()
   }

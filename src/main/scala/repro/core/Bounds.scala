@@ -74,7 +74,18 @@ final class PairBounds(
     */
   def lbd(mode: LbdMode, unitTable: UnitWeightTable): Double =
     if (exactRefresh) exactDist
-    else math.min(paths.iterator.map(_.distance).min, unitTable.bd(pathPhiBound))
+    else {
+      // Stored distances are positive and never NaN, so `<` picks the same
+      // value as `paths.map(_.distance).min`.
+      var m = paths(0).distance
+      var i = 1
+      while (i < paths.length) {
+        val d = paths(i).distance
+        if (d < m) m = d
+        i += 1
+      }
+      math.min(m, unitTable.bd(pathPhiBound))
+    }
 }
 
 /** Sorted unit-weight table of one subgraph: supports `bd(m)` = sum of the
@@ -107,16 +118,61 @@ final class UnitWeightTable private (
 }
 
 object UnitWeightTable {
-  /** Build from a (sub)graph's current weights and fixed vfrag counts. */
+  /** Build from a (sub)graph's current weights and fixed vfrag counts. Edges
+    * are ordered by unit weight, ties in edge order (a stable sort), and the
+    * prefix sums run left to right, so tied units with different vfrag
+    * counts always sum in the same order.
+    */
   def apply(g: WeightedGraph): UnitWeightTable = {
-    val byUnit = (0 until g.numEdges)
-      .map(e => (g.unitWeight(e), g.vfrags(e).toLong))
-      .sortBy(_._1)
-    val units = byUnit.map(_._1).toArray
-    val counts = byUnit.map(_._2).toArray
-    val cumCount = counts.scanLeft(0L)(_ + _).tail
-    val cumSum = byUnit.map { case (u, c) => u * c }.scanLeft(0.0)(_ + _).tail.toArray
-    new UnitWeightTable(cumCount.lastOption.getOrElse(0L), units, counts, cumCount, cumSum)
+    val n = g.numEdges
+    val unitOf = Array.tabulate(n)(g.unitWeight)
+    val order = stableOrder(unitOf)
+    val units = new Array[Double](n)
+    val counts = new Array[Long](n)
+    val cumCount = new Array[Long](n)
+    val cumSum = new Array[Double](n)
+    var count = 0L
+    var sum = 0.0
+    var i = 0
+    while (i < n) {
+      val e = order(i)
+      units(i) = unitOf(e)
+      counts(i) = g.vfrags(e).toLong
+      count += counts(i)
+      sum += units(i) * counts(i)
+      cumCount(i) = count
+      cumSum(i) = sum
+      i += 1
+    }
+    new UnitWeightTable(count, units, counts, cumCount, cumSum)
+  }
+
+  /** Indices of `keys` in ascending key order, equal keys in index order: a
+    * bottom-up merge sort on primitive arrays. Keys are positive and never
+    * NaN, so `<=` agrees with `Ordering.Double`.
+    */
+  private def stableOrder(keys: Array[Double]): Array[Int] = {
+    val n = keys.length
+    var src = Array.range(0, n)
+    var dst = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n)
+        val hi = math.min(lo + 2 * width, n)
+        var l = lo; var r = mid; var k = lo
+        while (k < hi) {
+          if (l < mid && (r >= hi || keys(src(l)) <= keys(src(r)))) { dst(k) = src(l); l += 1 }
+          else { dst(k) = src(r); r += 1 }
+          k += 1
+        }
+        lo = hi
+      }
+      val t = src; src = dst; dst = t
+      width *= 2
+    }
+    src
   }
 }
 

@@ -154,29 +154,100 @@ final class SubgraphDtlp(
       pbs.foreach(pb => pb.exactDist = res.dist(sg.localOf(pb.b)))
     }
 
-  /** Current LBD of every boundary pair (Algorithm 1 output). */
-  def lbds: Seq[(Int, Int, Double)] =
-    pairs.valuesIterator.map(pb => (pb.a, pb.b, pb.lbd(LbdMode.Faithful, unitTable))).toSeq
+  /** The pairs in a fixed order, ascending by `(a, b)`: slot `i` of every
+    * LBD array this index returns ([[lbds]], [[SubgraphUpdate.lbds]]) is
+    * `pairOrder(i)`. Derived from `pairs`, so it is not serialized.
+    */
+  @transient lazy val pairOrder: Array[PairBounds] =
+    pairs.valuesIterator.toArray.sortBy(pb => (pb.a.toLong << 32) | pb.b)
+
+  /** Current LBD of every boundary pair, in [[pairOrder]] (Algorithm 1 output). */
+  def lbds: Array[Double] = {
+    val out = new Array[Double](pairOrder.length)
+    var i = 0
+    while (i < out.length) {
+      out(i) = pairOrder(i).lbd(LbdMode.Faithful, unitTable)
+      i += 1
+    }
+    out
+  }
+
+  /** `(sgId, a, b, LBD)` of every pair, in `pairs` iteration order: the order
+    * in which the build numbers skeleton edges ([[MbdFold]]).
+    */
+  def lbdRows: Seq[(Int, Int, Int, Double)] =
+    pairs.valuesIterator.map(pb => (sg.id, pb.a, pb.b, pb.lbd(LbdMode.Faithful, unitTable))).toSeq
 
   /** Apply a weight-update batch (Algorithm 2) and return the refreshed LBDs
     * of *all* pairs of this subgraph (bound distances depend on the whole
-    * unit-weight multiset, so every pair's LBD may move).
+    * unit-weight multiset, so every pair's LBD may move), with the work done.
     *
     * Each event's Δ is taken against this index's own current weight, just
     * before the event is written, so several events for one edge in a batch
     * compose; the caller's `WeightUpdate.delta` is not trusted.
     */
-  def update(batch: Seq[WeightUpdate], mode: LbdMode): Seq[(Int, Int, Double)] = {
-    val relevant = batch.filter(u => sg.localEdgeOfGlobal.contains(u.edgeId))
-    if (relevant.isEmpty) return Seq.empty
-    relevant.foreach { u =>
-      val le = sg.localEdgeOfGlobal(u.edgeId)
-      epIndex.applyDelta(le, u.newWeight - sg.local.weights(le))
-      sg.local.weights(le) = u.newWeight
+  def update(batch: Seq[WeightUpdate], mode: LbdMode): SubgraphUpdate = {
+    write(batch)
+    updateResult(batch)
+  }
+
+  /** The writes of [[update]] alone: local weights, EP-maintained distances,
+    * the unit-weight table and exact refresh. The Spark deployment's update
+    * job runs this and reads [[updateResult]] in the job that collects it.
+    */
+  private[repro] def write(batch: Seq[WeightUpdate]): Unit = {
+    var touched = false
+    batch.foreach { u =>
+      sg.localEdgeOfGlobal.get(u.edgeId).foreach { le =>
+        epIndex.applyDelta(le, u.newWeight - sg.local.weights(le))
+        sg.local.weights(le) = u.newWeight
+        touched = true
+      }
     }
-    unitTable = UnitWeightTable(sg.local)
-    refreshExactDistances()
-    lbds
+    if (touched) {
+      unitTable = UnitWeightTable(sg.local)
+      refreshExactDistances()
+    }
+  }
+
+  /** What [[update]] returns for `batch`, read from the current state: the
+    * LBDs and the work counts (EP bumps and exact-refresh Dijkstras depend
+    * only on the index structure and the batch).
+    */
+  def updateResult(batch: Seq[WeightUpdate]): SubgraphUpdate = {
+    var bumps = 0L
+    var touched = false
+    batch.foreach { u =>
+      sg.localEdgeOfGlobal.get(u.edgeId).foreach { le =>
+        bumps += epIndex.entries.get(le).fold(0)(_.length)
+        touched = true
+      }
+    }
+    new SubgraphUpdate(lbds, bumps, if (touched) exactRefreshBySource.size.toLong else 0L)
+  }
+
+  /** Audit of this index against its current local weights (off the update
+    * path): every EP-maintained stored distance re-priced left to right, and
+    * every pair's LBD against its exact interior-free distance.
+    */
+  def audit(): AuditReport = {
+    var drift = 0.0
+    var paths = 0L
+    epPaths.foreach { bp =>
+      var repriced = 0.0
+      bp.localEdges.foreach(le => repriced += sg.local.weights(le))
+      drift = math.max(drift, math.abs(bp.distance - repriced) / repriced)
+      paths += 1
+    }
+    var violations = 0L
+    pairs.valuesIterator.toSeq.groupBy(_.a).foreach { case (a, pbs) =>
+      val res = Dijkstra.run(sg.local, sg.localOf(a), noTransit = lv => isLocalBoundary(lv))
+      pbs.foreach { pb =>
+        val exact = res.dist(sg.localOf(pb.b))
+        if (pb.lbd(LbdMode.Faithful, unitTable) > exact + 1e-9 * math.max(1.0, exact)) violations += 1
+      }
+    }
+    AuditReport(pairs.size.toLong, paths, drift, violations)
   }
 
   /** Partial k-shortest paths between two member vertices with boundary-free
@@ -216,10 +287,44 @@ final class SubgraphDtlp(
   }
 }
 
+/** What one [[SubgraphDtlp.update]] did: the refreshed LBDs in the index's
+  * [[SubgraphDtlp.pairOrder]], the EP bumps (stored-path entries walked)
+  * and the exact-refresh Dijkstras it ran.
+  */
+final class SubgraphUpdate(val lbds: Array[Double], val epBumps: Long, val exactRefreshDijkstras: Long)
+  extends Serializable
+
+/** What one index update did, from either deployment. The counts are exact;
+  * the times are wall-clock ns on the calling thread for routing (validate,
+  * write the master graph, group by subgraph), the subgraph step (on the
+  * pool, or the Spark jobs) and the MBD fold into the skeleton weights.
+  */
+final case class UpdateReport(
+    events: Long,
+    touchedSubgraphs: Long,
+    epBumps: Long,
+    exactRefreshDijkstras: Long,
+    skeletonWeightsChanged: Long,
+    routeNs: Long,
+    subgraphNs: Long,
+    foldNs: Long) {
+  def totalNs: Long = routeNs + subgraphNs + foldNs
+}
+
+/** A [[Dtlp.audit]]: the largest relative difference between an
+  * EP-maintained stored distance and its re-priced walk, over `paths`
+  * stored paths, and the number of the `pairs` whose LBD exceeds the exact
+  * interior-free distance (beyond a 1e-9 relative tolerance).
+  */
+final case class AuditReport(pairs: Long, paths: Long, maxRelativeDrift: Double, violations: Long) {
+  def +(o: AuditReport): AuditReport =
+    AuditReport(pairs + o.pairs, paths + o.paths, math.max(maxRelativeDrift, o.maxRelativeDrift), violations + o.violations)
+}
+
 /** Whole-index facade: partitioning + per-subgraph indexes + skeleton graph.
   * This is the single-process reference implementation; `repro.dist`
-  * deploys the same driver steps ([[Partitioning.routeUpdates]],
-  * [[MbdFold]]) over a Spark cluster.
+  * deploys the same driver steps ([[Dtlp.runUpdate]], [[MbdFold]]) over a
+  * Spark cluster.
   */
 final class Dtlp(
     val partitioning: Partitioning,
@@ -227,10 +332,9 @@ final class Dtlp(
     val mode: LbdMode,
     val subIndexes: Vector[SubgraphDtlp]) extends Serializable {
 
-  private val mbds = new MbdFold
+  private val mbds = MbdFold.build(subIndexes.size, subIndexes.flatMap(_.lbdRows))
 
-  val skeleton: SkeletonGraph = SkeletonGraph.build(mbds.fold(
-    subIndexes.flatMap(idx => idx.lbds.map { case (a, b, d) => (idx.sg.id, a, b, d) })))
+  val skeleton: SkeletonGraph = mbds.skeleton
 
   /** Apply a weight-update batch everywhere: master graph, the touched
     * subgraph indexes (local weights and EP-Indexes), and skeleton weights
@@ -239,20 +343,23 @@ final class Dtlp(
     * is written.
     *
     * The touched subgraph indexes are updated concurrently on the
-    * [[WorkerPool]] (each writes only its own subgraph); their LBD rows are
-    * folded in routing order, so the skeleton weights equal those of a
+    * [[WorkerPool]] (each writes only its own subgraph); the fold takes a
+    * minimum per skeleton edge, so the skeleton weights equal those of a
     * sequential replay bit for bit. `update` must not overlap a running
     * [[KspDgEngine.batch]] over this index: queries read the local weights,
     * stored distances and skeleton weights it writes in place. The writes
     * run inside [[SkeletonGraph.writing]], so an overlapping batch throws.
     */
-  def update(batch: Seq[WeightUpdate]): Unit = skeleton.writing {
-    val routed = partitioning.routeUpdates(batch).toSeq
-    val rows = WorkerPool.map(routed) { case (sgId, us) =>
-      subIndexes(sgId).update(us, mode).map { case (a, b, d) => (sgId, a, b, d) }
+  def update(batch: Seq[WeightUpdate]): UpdateReport =
+    Dtlp.runUpdate(partitioning, mbds, batch) { routed =>
+      WorkerPool.map(routed.toSeq) { case (sgId, us) => sgId -> subIndexes(sgId).update(us, mode) }
     }
-    skeleton.updateWeights(mbds.fold(rows.flatten))
-  }
+
+  /** Runtime bound audit over every subgraph index (see
+    * [[SubgraphDtlp.audit]]); it reads the index and writes nothing, and it
+    * must not overlap an `update`.
+    */
+  def audit(): AuditReport = WorkerPool.map(subIndexes)(_.audit()).foldLeft(AuditReport(0, 0, 0.0, 0))(_ + _)
 
   /** Total EP-Index storage elements across subgraphs (paper's cost metric). */
   def epStorageElements: Long = subIndexes.iterator.map(_.epIndex.storageElements).sum
@@ -279,4 +386,23 @@ object Dtlp {
     val subIndexes = WorkerPool.map(partitioning.subgraphs)(new SubgraphDtlp(_, xi, levelSpread, exactRefreshEnabled)).toVector
     new Dtlp(partitioning, xi, mode, subIndexes)
   }
+
+  /** The update driver both deployments run, inside the skeleton's
+    * [[SkeletonGraph.writing]]: route the batch, let `step` update the
+    * touched subgraph indexes wherever they live and return their results,
+    * fold the LBDs into the skeleton weights, and report each phase.
+    */
+  private[repro] def runUpdate(partitioning: Partitioning, mbds: MbdFold, batch: Seq[WeightUpdate])(
+      step: Map[Int, Seq[WeightUpdate]] => Seq[(Int, SubgraphUpdate)]): UpdateReport =
+    mbds.skeleton.writing {
+      val t0 = System.nanoTime()
+      val routed = partitioning.routeUpdates(batch)
+      val t1 = System.nanoTime()
+      val results = if (routed.isEmpty) Seq.empty else step(routed)
+      val t2 = System.nanoTime()
+      val changed = mbds.fold(results.map { case (sgId, r) => (sgId, r.lbds) })
+      val t3 = System.nanoTime()
+      UpdateReport(batch.size.toLong, results.size.toLong, results.map(_._2.epBumps).sum,
+        results.map(_._2.exactRefreshDijkstras).sum, changed.toLong, t1 - t0, t2 - t1, t3 - t2)
+    }
 }

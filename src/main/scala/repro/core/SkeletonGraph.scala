@@ -43,6 +43,10 @@ final class SkeletonGraph private (
       edgeOfPair.get(key).foreach(e => graph.weights(e) = mbd)
     }
 
+  /** Edge id of the pair `(a, b)` (either order) in [[graph]], or -1. */
+  private[core] def edgeId(a: Int, b: Int): Int =
+    edgeOfPair.getOrElse(if (a < b) (a, b) else (b, a), -1)
+
   /** Current weight between two boundary vertices, if the edge exists. */
   def weightOf(a: Int, b: Int): Option[Double] = {
     val key = if (a < b) (a, b) else (b, a)
@@ -88,26 +92,99 @@ final class SkeletonGraph private (
   }
 }
 
-/** The per-pair, per-subgraph LBDs behind the skeleton's weights (Section
-  * 3.6: a pair's MBD is the minimum LBD over the subgraphs indexing it).
-  * Both deployments' drivers fold in the LBD rows their subgraph indexes
-  * return, at build and after each update batch. It lives beside the
-  * skeleton and the subgraph indexes, not in them, so the serialized index
-  * does not carry it.
+/** The per-subgraph LBDs behind the skeleton's weights (Section 3.6: a
+  * pair's MBD is the minimum LBD over the subgraphs indexing it), as a slot
+  * table built once over the skeleton:
+  *
+  *   - per subgraph, the skeleton edge of each pair slot, slots in the
+  *     order of [[SubgraphDtlp.pairOrder]] (ascending `(a, b)`);
+  *   - per skeleton edge, its owner slots `(subgraph, slot)`;
+  *   - per subgraph, its current LBD array.
+  *
+  * Both deployments' drivers fold each touched subgraph's new LBD array in
+  * after an update; the fold rewrites the touched edges' weights in place.
+  * It lives beside the skeleton and the subgraph indexes, not in them, so
+  * the serialized index does not carry it.
   */
-final class MbdFold extends Serializable {
-  private val lbdOf = mutable.HashMap.empty[(Int, Int), mutable.HashMap[Int, Double]]
+final class MbdFold private (
+    val skeleton: SkeletonGraph,
+    edgeOfSlot: Array[Array[Int]],
+    lbds: Array[Array[Double]],
+    ownerOff: Array[Int],
+    ownerSg: Array[Int],
+    ownerSlot: Array[Int]) extends Serializable {
 
-  /** Record `(sgId, a, b, lbd)` rows (`a < b`) and return `(a, b, MBD)` for
-    * every pair they name, in order of first mention.
+  // Edges already refolded in the current call: foldStamp(e) == stamp.
+  private val foldStamp = new Array[Int](skeleton.numEdges)
+  private var stamp = 0
+
+  /** Record each `(sgId, lbds)` (the subgraph's LBDs in slot order) and set
+    * every skeleton edge of those subgraphs to the minimum LBD over its
+    * owners. Returns the number of skeleton weights whose bits changed.
+    *
+    * LBDs are positive and never NaN, and `min` over such values does not
+    * depend on their order, so the weights do not depend on the order of
+    * `updates` or of the owners.
     */
-  def fold(rows: Iterable[(Int, Int, Int, Double)]): Seq[(Int, Int, Double)] = {
-    val named = mutable.LinkedHashSet.empty[(Int, Int)]
-    rows.foreach { case (sgId, a, b, lbd) =>
-      lbdOf.getOrElseUpdate((a, b), mutable.HashMap.empty)(sgId) = lbd
-      named += ((a, b))
+  def fold(updates: Iterable[(Int, Array[Double])]): Int = {
+    updates.foreach { case (sgId, arr) =>
+      require(arr.length == edgeOfSlot(sgId).length, s"subgraph $sgId: ${arr.length} LBDs for ${edgeOfSlot(sgId).length} pairs")
+      lbds(sgId) = arr
     }
-    named.iterator.map { case (a, b) => (a, b, lbdOf((a, b)).valuesIterator.min) }.toSeq
+    stamp += 1
+    val weights = skeleton.graph.weights
+    var changed = 0
+    updates.foreach { case (sgId, _) =>
+      val edges = edgeOfSlot(sgId)
+      var i = 0
+      while (i < edges.length) {
+        val e = edges(i)
+        if (foldStamp(e) != stamp) {
+          foldStamp(e) = stamp
+          var m = Double.PositiveInfinity
+          var o = ownerOff(e)
+          while (o < ownerOff(e + 1)) {
+            val d = lbds(ownerSg(o))(ownerSlot(o))
+            if (d < m) m = d
+            o += 1
+          }
+          if (java.lang.Double.doubleToRawLongBits(m) != java.lang.Double.doubleToRawLongBits(weights(e))) changed += 1
+          weights(e) = m
+        }
+        i += 1
+      }
+    }
+    changed
+  }
+}
+
+object MbdFold {
+  /** Algorithm 1's last step: the skeleton over every subgraph's
+    * `(sgId, a, b, LBD)` rows, edges numbered in order of first mention and
+    * weighted by their MBDs, and the slot table that keeps it current.
+    */
+  def build(numSubgraphs: Int, rows: Seq[(Int, Int, Int, Double)]): MbdFold = {
+    val skeleton = SkeletonGraph.build(rows.map(r => (r._2, r._3, r._4)))
+    val bySg = rows.groupBy(_._1)
+    val slotRows = Array.tabulate(numSubgraphs) { sgId =>
+      bySg.getOrElse(sgId, Nil).toArray.sortBy(r => (r._2.toLong << 32) | r._3)
+    }
+    val edgeOfSlot = slotRows.map(_.map(r => skeleton.edgeId(r._2, r._3)))
+    val lbds = slotRows.map(_.map(_._4))
+    // Owner slots of edge e: ownerSg/ownerSlot(ownerOff(e) until ownerOff(e + 1)).
+    val ownerOff = new Array[Int](skeleton.numEdges + 1)
+    edgeOfSlot.foreach(_.foreach(e => ownerOff(e + 1) += 1))
+    for (e <- 0 until skeleton.numEdges) ownerOff(e + 1) += ownerOff(e)
+    val ownerSg = new Array[Int](ownerOff(skeleton.numEdges))
+    val ownerSlot = new Array[Int](ownerSg.length)
+    val next = ownerOff.clone()
+    for (sgId <- edgeOfSlot.indices; slot <- edgeOfSlot(sgId).indices) {
+      val e = edgeOfSlot(sgId)(slot)
+      ownerSg(next(e)) = sgId
+      ownerSlot(next(e)) = slot
+      next(e) += 1
+    }
+    new MbdFold(skeleton, edgeOfSlot, lbds, ownerOff, ownerSg, ownerSlot)
   }
 }
 

@@ -8,16 +8,15 @@ import repro.core._
   * DESIGN.md §2):
   *
   *   - the driver plays the EntranceSpout: it owns the partitioning metadata
-  *     and the skeleton graph, and routes weight updates through the same
-  *     steps as the local [[Dtlp]] ([[Partitioning.routeUpdates]],
-  *     [[MbdFold]]);
+  *     and the skeleton graph, and runs the same update driver as the local
+  *     [[Dtlp]] ([[Dtlp.runUpdate]]: routing, then the [[MbdFold]]);
   *   - the executors play SubgraphBolts: the per-subgraph level-1 indexes
   *     ([[SubgraphDtlp]]) live in a cached `Dataset`, spread over
   *     `numWorkers` partitions (one partition ≙ one server of the paper's
   *     cluster);
   *   - maintenance is a Spark job per batch: each partition updates its own
-  *     subgraph indexes through their EP-Indexes and ships back the
-  *     refreshed LBDs of the *touched* subgraphs only.
+  *     subgraph indexes through their EP-Indexes and ships back one LBD
+  *     array (with the work counts) per *touched* subgraph only.
   */
 final class SparkDtlp private (
     val spark: SparkSession,
@@ -25,10 +24,11 @@ final class SparkDtlp private (
     val xi: Int,
     val numWorkers: Int,
     @transient private var indexesDs: Dataset[SubgraphDtlp],
-    val skeleton: SkeletonGraph,
     mbds: MbdFold) extends Serializable {
 
   import SparkDtlp._
+
+  val skeleton: SkeletonGraph = mbds.skeleton
 
   def indexes: Dataset[SubgraphDtlp] = indexesDs
 
@@ -37,23 +37,21 @@ final class SparkDtlp private (
     * whole, before anything is written. The writes run inside
     * [[SkeletonGraph.writing]], so a query batch they overlap throws.
     */
-  def update(batch: Seq[WeightUpdate]): Unit = skeleton.writing {
-    val bySg = partitioning.routeUpdates(batch)
-    if (bySg.nonEmpty) {
+  def update(batch: Seq[WeightUpdate]): UpdateReport =
+    Dtlp.runUpdate(partitioning, mbds, batch) { bySg =>
       val bc = spark.sparkContext.broadcast(bySg)
       val updated = indexesDs
-        .map { idx => idx.update(bc.value.getOrElse(idx.sg.id, Seq.empty), LbdMode.Faithful); idx }(kryo[SubgraphDtlp])
+        .map { idx => bc.value.get(idx.sg.id).foreach(idx.write); idx }(kryo[SubgraphDtlp])
         .localCheckpoint(eager = false)
-      // Materialize the new state; pull refreshed LBDs of touched subgraphs.
-      val rows = updated
-        .flatMap(idx => if (bc.value.contains(idx.sg.id)) lbdRows(idx) else Seq.empty)(LbdRowEncoder)
+      // Materialize the new state; pull the results of the touched subgraphs.
+      val results = updated
+        .flatMap(idx => bc.value.get(idx.sg.id).map(us => (idx.sg.id, idx.updateResult(us))))(kryo[(Int, SubgraphUpdate)])
         .collect()
       indexesDs.unpersist(blocking = false)
       indexesDs = updated
       bc.destroy()
-      skeleton.updateWeights(mbds.fold(rows))
+      results.toSeq
     }
-  }
 
   /** Release the cached index Dataset (benchmarks build many instances). */
   def close(): Unit = indexesDs.unpersist(blocking = true)
@@ -64,10 +62,6 @@ object SparkDtlp {
 
   private val LbdRowEncoder =
     Encoders.tuple(Encoders.scalaInt, Encoders.scalaInt, Encoders.scalaInt, Encoders.scalaDouble)
-
-  /** `(sgId, a, b, lbd)` for every pair of one subgraph index. */
-  private def lbdRows(idx: SubgraphDtlp): Seq[(Int, Int, Int, Double)] =
-    idx.lbds.map { case (a, b, d) => (idx.sg.id, a, b, d) }
 
   /** Algorithm 1 on the cluster: partition on the driver, build every
     * subgraph index in parallel over `numWorkers` partitions (default: the
@@ -90,8 +84,7 @@ object SparkDtlp {
       .repartition(workers)
       .map(sg => new SubgraphDtlp(sg, xi, levelSpread, exactRefreshEnabled))(kryo[SubgraphDtlp])
       .persist(StorageLevel.MEMORY_ONLY)
-    val mbds = new MbdFold
-    val skeleton = SkeletonGraph.build(mbds.fold(ds.flatMap(lbdRows)(LbdRowEncoder).collect()))
-    new SparkDtlp(spark, partitioning, xi, workers, ds, skeleton, mbds)
+    val mbds = MbdFold.build(partitioning.subgraphs.size, ds.flatMap(_.lbdRows)(LbdRowEncoder).collect().toSeq)
+    new SparkDtlp(spark, partitioning, xi, workers, ds, mbds)
   }
 }

@@ -210,8 +210,10 @@ class DtlpSpec extends SparkSpec {
   // ------------------------------- concurrent build and update ≡ sequential
   private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
 
-  /** Same pairs, stored paths, bounds and skeleton weights, bit for bit. */
-  private def assertSameIndex(a: Dtlp, b: Dtlp, tag: String): Unit = {
+  /** Same pairs, stored paths, bounds and skeleton weights, bit for bit;
+    * `bSkeleton` holds `b`'s skeleton weights.
+    */
+  private def assertSameIndex(a: Dtlp, b: Dtlp, bSkeleton: SkeletonGraph, tag: String): Unit = {
     assert(a.subIndexes.size == b.subIndexes.size)
     a.subIndexes.zip(b.subIndexes).foreach { case (x, y) =>
       assert(x.pairs.keySet == y.pairs.keySet, s"$tag sg=${x.sg.id}")
@@ -226,8 +228,8 @@ class DtlpSpec extends SparkSpec {
         }
       }
     }
-    assert(a.skeleton.globalOf.sameElements(b.skeleton.globalOf), tag)
-    assert(a.skeleton.graph.weights.map(bits).sameElements(b.skeleton.graph.weights.map(bits)), s"$tag skeleton weights")
+    assert(a.skeleton.globalOf.sameElements(bSkeleton.globalOf), tag)
+    assert(a.skeleton.graph.weights.map(bits).sameElements(bSkeleton.graph.weights.map(bits)), s"$tag skeleton weights")
   }
 
   test("concurrent build and update equal a sequential build and update, bit for bit") {
@@ -237,10 +239,10 @@ class DtlpSpec extends SparkSpec {
     val built = Dtlp.build(g, z, xi)
     val p = Partitioner.partition(twinGraph, z)
     val twin = new Dtlp(p, xi, LbdMode.Faithful, p.subgraphs.map(new SubgraphDtlp(_, xi)))
-    assertSameIndex(built, twin, "build")
-    // The sequential driver steps: one subgraph after another, in routing order.
-    val mbds = new MbdFold
-    mbds.fold(twin.subIndexes.flatMap(idx => idx.lbds.map { case (a, b, d) => (idx.sg.id, a, b, d) }))
+    assertSameIndex(built, twin, twin.skeleton, "build")
+    // The sequential driver steps: one subgraph after another, in routing
+    // order, folded into a skeleton built from the twin's build rows.
+    val mbds = MbdFold.build(twin.subIndexes.size, twin.subIndexes.flatMap(_.lbdRows))
     val rnd = new scala.util.Random(23)
     for (round <- 1 to 3) {
       val snapshot = TrafficModel.snapshot(g.snapshot(), 0.5, 0.4, round)
@@ -251,12 +253,95 @@ class DtlpSpec extends SparkSpec {
       }
       if (round == 2) assert(batch.map(_.edgeId).distinct.size < batch.size)
       built.update(batch)
-      val rows = p.routeUpdates(batch).toSeq.flatMap { case (sgId, us) =>
-        twin.subIndexes(sgId).update(us, LbdMode.Faithful).map { case (a, b, d) => (sgId, a, b, d) }
+      val lbds = p.routeUpdates(batch).toSeq.map { case (sgId, us) =>
+        sgId -> twin.subIndexes(sgId).update(us, LbdMode.Faithful).lbds
       }
-      twin.skeleton.updateWeights(mbds.fold(rows))
-      assertSameIndex(built, twin, s"round=$round")
+      mbds.fold(lbds)
+      assertSameIndex(built, twin, mbds.skeleton, s"round=$round")
     }
+  }
+
+  // ----------------------------------------------------- reports and audit
+  /** Two subgraphs sharing boundary vertices 0 and 1. A = {0, 1, 2, 4} holds
+    * paths 0-2-1 (φ 2) and 0-2-4-1 (φ 3), both through edge 0; B = {0, 1, 3}
+    * holds 0-3-1 (φ 4). Each pair's enumeration is exhausted, so its LBD is
+    * its shortest stored distance.
+    */
+  private def twoSubgraphs(): Dtlp = {
+    val g = WeightedGraph.fromEdges(5, Seq((0, 2, 1.0), (2, 1, 1.0), (2, 4, 1.0), (4, 1, 1.0), (0, 3, 2.0), (3, 1, 2.0)))
+    def subgraph(id: Int, vs: Array[Int], es: Array[Int]): Subgraph = {
+      val localOf = vs.zipWithIndex.toMap
+      val local = WeightedGraph.fromEdges(vs.length,
+        es.toSeq.map(e => (localOf(g.edges(e).u), localOf(g.edges(e).v), g.weights(e))))
+      Subgraph(id, vs, es, local, es.zipWithIndex.toMap, es, localOf)
+    }
+    val p = new Partitioning(g, Vector(subgraph(0, Array(0, 1, 2, 4), Array(0, 1, 2, 3)), subgraph(1, Array(0, 1, 3), Array(4, 5))))
+    new Dtlp(p, 2, LbdMode.Faithful, p.subgraphs.map(new SubgraphDtlp(_, 2)))
+  }
+
+  test("update reports hand-counted work on a two-subgraph index") {
+    val dtlp = twoSubgraphs()
+    assert(dtlp.subIndexes.map(_.pairs.keySet) == Vector(Set((0, 1)), Set((0, 1))))
+    assert(dtlp.subIndexes.map(_.pairs((0, 1)).paths.size) == Vector(2, 1))
+    assert(dtlp.skeleton.numEdges == 1 && dtlp.skeleton.weightOf(0, 1).contains(2.0))
+    def counts(r: UpdateReport) =
+      (r.events, r.touchedSubgraphs, r.epBumps, r.exactRefreshDijkstras, r.skeletonWeightsChanged)
+    // Edge 0 lies on both paths of A (2 bumps), edge 4 on B's path (1 bump):
+    // A's LBD becomes 6, B's 3, so the one skeleton weight moves to 3.
+    val r1 = dtlp.update(Seq(WeightUpdate(0, 5.0, 4.0), WeightUpdate(4, 1.0, -1.0)))
+    assert(counts(r1) == ((2L, 2L, 3L, 0L, 1L)))
+    assert(dtlp.skeleton.weightOf(0, 1).contains(3.0))
+    assert(r1.routeNs >= 0 && r1.subgraphNs >= 0 && r1.foldNs >= 0 && r1.totalNs > 0)
+    // Edge 3 lies on A's longer path only: A's LBD stays 6, nothing moves.
+    val r2 = dtlp.update(Seq(WeightUpdate(3, 2.0, 1.0)))
+    assert(counts(r2) == ((1L, 1L, 1L, 0L, 0L)))
+    assert(dtlp.skeleton.weightOf(0, 1).contains(3.0))
+    // Two events for edge 5 compose; B's LBD becomes 1 + 1 = 2.
+    val r3 = dtlp.update(Seq(WeightUpdate(5, 0.5, -1.5), WeightUpdate(5, 1.0, 0.5)))
+    assert(counts(r3) == ((2L, 1L, 2L, 0L, 1L)))
+    assert(dtlp.skeleton.weightOf(0, 1).contains(2.0))
+    assert(counts(dtlp.update(Seq.empty)) == ((0L, 0L, 0L, 0L, 0L)))
+  }
+
+  test("update reports the EP bumps, exact-refresh Dijkstras and weight changes it made") {
+    val g = RoadNetGen.generate(400, seed = 24)
+    val dtlp = Dtlp.build(g, z = 40, xi = 3)
+    (1 to 3).foreach { round =>
+      val batch = TrafficModel.snapshot(g.snapshot(), 0.35, 0.30, round)
+      val touched = batch.map(u => dtlp.partitioning.subgraphOfEdge(u.edgeId)).distinct
+      val bumps = batch.map { u =>
+        val idx = dtlp.subIndexes(dtlp.partitioning.subgraphOfEdge(u.edgeId))
+        idx.epIndex.pathsThrough(idx.sg.localEdgeOfGlobal(u.edgeId)).size.toLong
+      }.sum
+      val dijkstras = touched.map(s => dtlp.subIndexes(s).pairs.valuesIterator.filter(_.exactRefresh).map(_.a).toSet.size.toLong).sum
+      val before = dtlp.skeleton.graph.weights.clone()
+      val r = dtlp.update(batch)
+      val after = dtlp.skeleton.graph.weights
+      assert(r.events == batch.size && r.touchedSubgraphs == touched.size, s"round=$round")
+      assert(r.epBumps == bumps && r.exactRefreshDijkstras == dijkstras && dijkstras > 0, s"round=$round")
+      assert(r.skeletonWeightsChanged == after.indices.count(i => bits(after(i)) != bits(before(i))), s"round=$round")
+    }
+  }
+
+  test("audit after 300 update rounds: no stored-distance drift, no LBD above the exact distance") {
+    val g = RoadNetGen.generate(300, seed = 25)
+    val dtlp = Dtlp.build(g, z = 30, xi = 3)
+    (1 to 300).foreach(round => dtlp.update(TrafficModel.snapshot(g.snapshot(), 0.35, 0.30, round)))
+    val audit = dtlp.audit()
+    assert(audit.pairs == dtlp.subIndexes.map(_.pairs.size).sum)
+    assert(audit.paths == dtlp.subIndexes.map(_.epPaths.size).sum && audit.paths > 0)
+    assert(audit.maxRelativeDrift < 1e-9, s"drift ${audit.maxRelativeDrift}")
+    assert(audit.violations == 0)
+  }
+
+  test("audit reports a stored distance that drifted and an LBD above the exact distance") {
+    val dtlp = twoSubgraphs()
+    val bp = dtlp.subIndexes(1).pairs((0, 1)).paths.head
+    bp.distance *= 1.5 // B's only path: 4 → 6, and B's LBD 6 exceeds the exact 4
+    val audit = dtlp.audit()
+    assert(audit.pairs == 2 && audit.paths == 3)
+    assert(math.abs(audit.maxRelativeDrift - 0.5) < 1e-12)
+    assert(audit.violations == 1)
   }
 
   test("epStorageElements aggregates all subgraphs") {

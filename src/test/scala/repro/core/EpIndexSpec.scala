@@ -79,8 +79,10 @@ class EpIndexSpec extends SparkSpec {
     val (g, idx) = indexFor(7)
     val foreign = (0 until g.numEdges).find(e => !idx.sg.localEdgeOfGlobal.contains(e)).get
     val before = idx.epPaths.map(_.distance).toSeq
+    val lbdsBefore = idx.lbds
     val res = idx.update(Seq(WeightUpdate(foreign, 999.0, 999.0 - g.weights(foreign))), LbdMode.Faithful)
-    assert(res.isEmpty)
+    assert(res.epBumps == 0 && res.exactRefreshDijkstras == 0)
+    assert(res.lbds.sameElements(lbdsBefore))
     val after = idx.epPaths.map(_.distance).toSeq
     assert(before == after)
   }

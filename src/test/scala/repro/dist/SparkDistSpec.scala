@@ -95,6 +95,23 @@ class SparkDistSpec extends SparkSpec {
     sparkDtlp.close()
   }
 
+  test("both deployments report the same update counts on the same batches") {
+    val g = RoadNetGen.generate(400, seed = 24)
+    val probe = g.snapshot()
+    val sparkDtlp = SparkDtlp.build(spark, g, z = 40, xi = 3)
+    val local = Dtlp.build(g.snapshot(), z = 40, xi = 3)
+    def counts(r: UpdateReport) =
+      (r.events, r.touchedSubgraphs, r.epBumps, r.exactRefreshDijkstras, r.skeletonWeightsChanged)
+    for (round <- 1 to 3) {
+      val batch = TrafficModel.snapshot(probe, 0.35, 0.30, round)
+      probe.applyUpdates(batch)
+      val want = counts(local.update(batch))
+      assert(want._3 > 0 && want._4 > 0 && want._5 > 0, s"round=$round")
+      assert(counts(sparkDtlp.update(batch)) == want, s"round=$round")
+    }
+    sparkDtlp.close()
+  }
+
   test("update rejects an unknown edge or a bad weight before anything is written") {
     val g = g0.snapshot()
     val sparkDtlp = SparkDtlp.build(spark, g, z = 25, xi = 3)
